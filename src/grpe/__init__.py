@@ -3,8 +3,9 @@
 Topology and edge relations between node pairs are bucketed into integer
 index matrices; learnable encoding rows for those buckets interact with
 queries, keys, and values inside self-attention. The package carries its
-own tensor/autodiff core, naive reference kernels for every fast path,
-and a CLI for dataset generation, training, and self-verification.
+own numpy kernels with hand-wired backward passes, naive reference
+kernels for every fast path, and a CLI for dataset generation, training,
+and self-verification.
 """
 
 from .errors import (CheckFailure, CheckpointError, ConfigError, GraphParseError,

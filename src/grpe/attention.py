@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import (Parameter, Tensor, layer_norm_rows, layer_norm_rows_backward,
+from .tensor import (Parameter, layer_norm_rows, layer_norm_rows_backward,
                      softmax_lastdim, softmax_lastdim_backward)
 
 SCORE_KINDS = ("none", "grpe_naive", "grpe_fast", "graphormer")
@@ -104,10 +104,6 @@ def merge_heads(m3: np.ndarray) -> np.ndarray:
     """(H, rows, d_h) -> (rows, H * d_h); inverse of split_heads."""
     h, rows, dh = m3.shape
     return np.ascontiguousarray(m3.transpose(1, 0, 2).reshape(rows, h * dh))
-
-
-def _as_np(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def _fold_table_grad(param: Parameter, d_split: np.ndarray):
@@ -457,14 +453,14 @@ def _values_bwd(d_zh, cache):
 
 
 # ---------------------------------------------------------------------------
-# public single-call surfaces
+# single-call reference surfaces (selfcheck's equivalence suite)
 # ---------------------------------------------------------------------------
 
 def grpe_scores_naive(q, k, topo_idx, edge_idx, topology, edge, heads: int = 1,
                       use_topology: bool = True, use_edge: bool = True) -> np.ndarray:
     """Reference per-pair score map; returns a (heads, N, N) array."""
     mode = PEMode("grpe_naive", use_topology, use_edge)
-    qh, kh = split_heads(_as_np(q), heads), split_heads(_as_np(k), heads)
+    qh, kh = split_heads(q, heads), split_heads(k, heads)
     scores, _, _ = _grpe_scores_naive_fwd(qh, kh, topo_idx, edge_idx, topology, edge, mode, False)
     return scores
 
@@ -473,7 +469,7 @@ def grpe_scores_fast(q, k, topo_idx, edge_idx, topology, edge, heads: int = 1,
                      use_topology: bool = True, use_edge: bool = True) -> np.ndarray:
     """Precompute-and-lookup score map; must match the naive path."""
     mode = PEMode("grpe_fast", use_topology, use_edge)
-    qh, kh = split_heads(_as_np(q), heads), split_heads(_as_np(k), heads)
+    qh, kh = split_heads(q, heads), split_heads(k, heads)
     scores, _, _ = _grpe_scores_fast_fwd(qh, kh, topo_idx, edge_idx, topology, edge, mode, False)
     return scores
 
@@ -485,41 +481,10 @@ def grpe_values(attn, v, topo_idx, edge_idx, topology, edge, heads: int = 1,
     ``attn`` is (heads, N, N) row-stochastic, ``v`` is (N, d_z); the result
     is (N, d_z) with heads merged.
     """
-    attn = np.asarray(attn, dtype=np.float64)
-    vh = split_heads(_as_np(v), heads)
+    vh = split_heads(v, heads)
     fwd = _grpe_values_fast_fwd if fast else _grpe_values_naive_fwd
     zh, _ = fwd(attn, vh, topo_idx, edge_idx, topology, edge)
     return merge_heads(zh)
-
-
-def graphormer_scores(q, k, topo_idx, edge_idx, gbias, heads: int = 1) -> np.ndarray:
-    """Scalar-bias score map: scaled dot plus bucket biases, per head."""
-    qh, kh = split_heads(_as_np(q), heads), split_heads(_as_np(k), heads)
-    scores, _, _ = _graphormer_scores_fwd(qh, kh, topo_idx, edge_idx, gbias, False)
-    return scores
-
-
-def plain_attention(x, params: AttentionParams, want_trace: bool = True):
-    """Vanilla multi-head self-attention; returns (z, trace)."""
-    return multi_head_attention(x, params, "none", want_trace=want_trace)
-
-
-def multi_head_attention(x, params: AttentionParams, pe_mode, topo_idx=None, edge_idx=None,
-                         topology=None, edge=None, graphormer=None, want_trace: bool = False):
-    """One attention layer forward pass; returns (z, trace).
-
-    ``pe_mode`` is a mode name or a ``PEMode``. The grpe modes require the
-    index matrices and both table sets; graphormer requires the indices
-    and its bias parameters.
-    """
-    mode = pe_mode if isinstance(pe_mode, PEMode) else PEMode(pe_mode)
-    if mode.kind in ("grpe_naive", "grpe_fast") and (topo_idx is None or topology is None or edge is None):
-        raise ConfigError("grpe modes need index matrices and encoding tables")
-    if mode.kind == "graphormer" and (topo_idx is None or graphormer is None):
-        raise ConfigError("graphormer mode needs index matrices and bias parameters")
-    z, trace, _ = mha_forward(_as_np(x), params, mode, topo_idx, edge_idx,
-                              topology, edge, graphormer, want_trace=want_trace)
-    return Tensor(z), trace
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +560,7 @@ class BlockParams:
 class TransformerBlock:
     """Pre-norm block: x + MHA(LN(x)), then + FFN(LN(.)).
 
-    The FFN is a single hidden layer with relu. Encoding tables (and the
+    The FFN is a single hidden layer with ReLU. Encoding tables (and the
     scalar-bias parameters, when used) are shared across blocks by holding
     references to the same objects.
     """

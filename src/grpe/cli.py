@@ -24,7 +24,7 @@ from .errors import (CheckFailure, CheckpointError, ConfigError, GraphParseError
                      NumericError)
 from .graph import parse_graphs, write_graphs
 from .model import ModelConfig, PRESETS, build_model, loss_and_grad
-from .selfcheck import SUITES, run_suites
+from .selfcheck import SUITES, run_suites, verify_targets
 from .synthetic import NUM_DEGREE_CLASSES, make_synthetic
 from .tensor import finite_diff_check
 from .training import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
@@ -142,9 +142,12 @@ def _model_config_from_args(args, task: str, num_edge_types: int) -> ModelConfig
 
 
 def _train_config_from_args(args, file_cfg: dict) -> TrainConfig:
-    defaults = dict(epochs=50, lr_start=2e-4, lr_end=1e-9, batch_size=8)
-    known = set(TrainConfig.__dataclass_fields__)
-    file_train = {k: v for k, v in file_cfg.items() if k in known}
+    """Every ``TrainConfig`` field may come from the file. A key that both
+    configs have (``seed``) belongs to the model, as the ``--seed`` flag
+    does; the trainer stream is then derived from the model seed."""
+    defaults = asdict(TrainConfig(epochs=50))
+    model_keys = set(ModelConfig.__dataclass_fields__)
+    file_train = {k: v for k, v in file_cfg.items() if k in defaults and k not in model_keys}
     flags = {"epochs": args.epochs, "lr_start": args.lr_start,
              "lr_end": args.lr_end, "batch_size": args.batch}
     merged = _merge(defaults, file_train, flags)
@@ -198,7 +201,6 @@ def cmd_eval(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     if args.targets:
-        from .selfcheck import verify_targets
         result = verify_targets(parse_graphs(args.targets))
         print(result.line() + f"  [{result.note}]")
         if not result.passed:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphs
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .linalg import jacobi_eigh
-from .tensor import Parameter, Tensor
+from .tensor import Parameter
 
 INIT_STD = 0.02
 DEGREE_CLAMP = 64  # degrees at or above this share the last row
@@ -29,10 +29,6 @@ class TopologyTables:
     key: Parameter
     value: Parameter
 
-    @property
-    def num_buckets(self) -> int:
-        return self.query.shape[0]
-
 
 @dataclass
 class EdgeTables:
@@ -41,10 +37,6 @@ class EdgeTables:
     query: Parameter
     key: Parameter
     value: Parameter
-
-    @property
-    def num_buckets(self) -> int:
-        return self.query.shape[0]
 
 
 @dataclass
@@ -81,7 +73,7 @@ class NodeEmbeddings:
 
 
 def _draw(rng, *shape) -> Parameter:
-    return Parameter(Tensor(rng.normal(0.0, INIT_STD, size=shape)))
+    return Parameter(rng.normal(0.0, INIT_STD, size=shape))
 
 
 def init_tables(config, seed):
@@ -128,37 +120,40 @@ def init_tables(config, seed):
     return topology, edge, nodes, graphormer
 
 
-def embed_nodes(g: graphs.Graph, emb: NodeEmbeddings, use_degree: bool = False) -> Tensor:
+def embed_nodes(g: graphs.Graph, emb: NodeEmbeddings, use_degree: bool = False) -> np.ndarray:
     """Input features: type row per node, plus a degree row when enabled.
 
     The virtual node maps to the reserved trailing type row; its degree is
-    taken as 0 (it has no real edges).
+    taken as 0 (it has no real edges). A node type outside the vocabulary
+    is a ``ConfigError``: the data does not fit the model.
     """
     vocab = emb.vocab
     ids = np.array(g.node_types, dtype=np.int64)
     if g.has_virtual_node:
         ids[0] = vocab
-        if ids.size > 1 and ids[1:].max(initial=0) >= vocab:
-            raise IndexError(f"node type outside vocabulary [0, {vocab})")
-    elif ids.max(initial=0) >= vocab:
-        raise IndexError(f"node type outside vocabulary [0, {vocab})")
+    real = ids[1:] if g.has_virtual_node else ids
+    if real.max(initial=0) >= vocab:
+        raise ConfigError(f"node type {int(real.max())} outside the model's "
+                          f"vocabulary [0, {vocab})")
     x = emb.type_table.value.data[ids]
     if use_degree:
         deg = np.minimum(np.array(g.degrees(), dtype=np.int64), DEGREE_CLAMP - 1)
         x = x + emb.degree_table.value.data[deg]
-    return Tensor(x)
+    if not np.all(np.isfinite(x)):
+        raise NumericError("node embeddings contain non-finite entries")
+    return x
 
 
-def embed_nodes_backward(d_x, g: graphs.Graph, emb: NodeEmbeddings, use_degree: bool = False):
+def embed_nodes_backward(d_x: np.ndarray, g: graphs.Graph, emb: NodeEmbeddings,
+                         use_degree: bool = False):
     """Scatter input-feature gradients back into the lookup tables."""
-    dv = d_x.data if isinstance(d_x, Tensor) else np.asarray(d_x)
     ids = np.array(g.node_types, dtype=np.int64)
     if g.has_virtual_node:
         ids[0] = emb.vocab
-    np.add.at(emb.type_table.grad.data, ids, dv)
+    np.add.at(emb.type_table.grad.data, ids, d_x)
     if use_degree:
         deg = np.minimum(np.array(g.degrees(), dtype=np.int64), DEGREE_CLAMP - 1)
-        np.add.at(emb.degree_table.grad.data, deg, dv)
+        np.add.at(emb.degree_table.grad.data, deg, d_x)
 
 
 def normalized_laplacian(g: graphs.Graph) -> np.ndarray:
@@ -175,7 +170,7 @@ def normalized_laplacian(g: graphs.Graph) -> np.ndarray:
     return np.eye(n) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
 
-def laplacian_pe(g: graphs.Graph, k: int) -> Tensor:
+def laplacian_pe(g: graphs.Graph, k: int) -> np.ndarray:
     """Eigenvectors of the normalized Laplacian for the k smallest
     eigenvalues, one column each.
 
@@ -190,7 +185,7 @@ def laplacian_pe(g: graphs.Graph, k: int) -> Tensor:
         raise ShapeError("k must be >= 1")
     lap = normalized_laplacian(g)
     _, vecs = jacobi_eigh(lap)
-    cols = vecs.data[:, :k].copy()
+    cols = vecs[:, :k].copy()
     for c in range(k):
         j = int(np.argmax(np.abs(cols[:, c])))
         if cols[j, c] < 0:
@@ -198,13 +193,12 @@ def laplacian_pe(g: graphs.Graph, k: int) -> Tensor:
     if g.has_virtual_node:
         out = np.zeros((g.num_nodes, k))
         out[1:] = cols
-        return Tensor(out)
-    return Tensor(cols)
+        return out
+    return cols
 
 
-def sign_flip_augment(pe, seed) -> Tensor:
+def sign_flip_augment(pe: np.ndarray, seed) -> np.ndarray:
     """Multiply each column by an independent +/-1 drawn from the seed."""
-    arr = pe.data if isinstance(pe, Tensor) else np.asarray(pe, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    flips = rng.integers(0, 2, size=arr.shape[1]) * 2 - 1
-    return Tensor(arr * flips[None, :])
+    flips = rng.integers(0, 2, size=pe.shape[1]) * 2 - 1
+    return pe * flips[None, :]

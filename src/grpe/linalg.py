@@ -9,11 +9,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .tensor import Tensor, _as_array
 
 SYMMETRY_TOL = 1e-10
 OFF_DIAG_TOL = 1e-12
 MAX_SWEEPS = 100
+# theta * theta overflows above about 1.34e154. From BIG_THETA up, the
+# tangent formula below equals its limit 0.5 / theta bit for bit, so the
+# limit takes over there without changing any result that did not overflow.
+BIG_THETA = 1e150
 
 
 def _off_diagonal_norm(a: np.ndarray) -> float:
@@ -31,7 +34,7 @@ def jacobi_eigh(s, max_sweeps: int = MAX_SWEEPS, off_tol: float = OFF_DIAG_TOL):
     eigenvectors as the columns of an orthogonal matrix, so that
     ``S @ V == V @ diag(w)`` up to solver accuracy.
     """
-    a = np.array(_as_array(s), dtype=np.float64, copy=True)
+    a = np.array(s, dtype=np.float64, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"jacobi_eigh expects a square matrix, got {a.shape}")
     n = a.shape[0]
@@ -42,7 +45,7 @@ def jacobi_eigh(s, max_sweeps: int = MAX_SWEEPS, off_tol: float = OFF_DIAG_TOL):
 
     v = np.eye(n)
     if n == 1:
-        return Tensor(a.diagonal().copy(), check=False), Tensor(v, check=False)
+        return a.diagonal().copy(), v
 
     converged = _off_diagonal_norm(a) < off_tol
     for _ in range(max_sweeps):
@@ -55,9 +58,12 @@ def jacobi_eigh(s, max_sweeps: int = MAX_SWEEPS, off_tol: float = OFF_DIAG_TOL):
                     continue
                 theta = (a[q, q] - a[p, p]) / (2.0 * apq)
                 # Stable tangent of the rotation angle, smaller root.
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
+                if abs(theta) > BIG_THETA:
+                    t = 0.5 / theta
+                elif theta == 0.0:
                     t = 1.0
+                else:
+                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 sn = t * c
 
@@ -86,4 +92,4 @@ def jacobi_eigh(s, max_sweeps: int = MAX_SWEEPS, off_tol: float = OFF_DIAG_TOL):
 
     w = a.diagonal().copy()
     order = np.argsort(w, kind="stable")
-    return Tensor(w[order], check=False), Tensor(v[:, order], check=False)
+    return w[order], v[:, order]

@@ -17,7 +17,7 @@ from .attention import AttentionParams, BlockParams, PEMode, TransformerBlock
 from .encodings import (NodeEmbeddings, embed_nodes, embed_nodes_backward,
                         init_tables, laplacian_pe)
 from .errors import ConfigError, NumericError
-from .tensor import Parameter, Tensor, softmax_lastdim
+from .tensor import Parameter, softmax_lastdim
 
 PE_MODES = ("none", "grpe", "graphormer", "laplacian")
 TASKS = ("graph_regression", "node_classification")
@@ -90,11 +90,15 @@ class ModelConfig:
 
 @dataclass
 class PreparedSample:
-    """A graph with the virtual node attached and its index matrices."""
+    """A graph with the virtual node attached and its index matrices.
+
+    The index matrices are None when the model's attention reads no
+    buckets (``pe_mode`` none and laplacian).
+    """
 
     graph: graphs.Graph
-    topo_idx: np.ndarray
-    edge_idx: np.ndarray
+    topo_idx: np.ndarray | None
+    edge_idx: np.ndarray | None
     target: float | None = None
     node_labels: np.ndarray | None = None
     input_pe: np.ndarray | None = None  # additive input encoding rows, or None
@@ -169,13 +173,15 @@ class Model:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         g = graphs.attach_virtual_node(sample.graph)
-        dist = graphs.bfs_all_pairs(g)
-        topo_idx = graphs.topology_indices(dist, cfg.L, has_virtual_node=True)
-        edge_idx = graphs.edge_indices(g)
+        topo_idx = edge_idx = None
+        if cfg.attention_mode().kind != "none":  # the plain kernels read no buckets
+            dist = graphs.bfs_all_pairs(g)
+            topo_idx = graphs.topology_indices(dist, cfg.L, has_virtual_node=True)
+            edge_idx = graphs.edge_indices(g)
         input_pe = None
         if cfg.pe_mode == "laplacian":
             k = min(cfg.lap_pe_dim, g.num_real_nodes)
-            pe = laplacian_pe(g, k).data
+            pe = laplacian_pe(g, k)
             input_pe = np.zeros((g.num_nodes, cfg.d_z))
             input_pe[:, :k] = pe
         labels = None
@@ -194,7 +200,7 @@ class Model:
         cfg = self.config
         if not prep.graph.has_virtual_node:
             raise ConfigError("forward expects a prepared graph with the virtual node attached")
-        x = embed_nodes(prep.graph, self.nodes, cfg.use_degree).data
+        x = embed_nodes(prep.graph, self.nodes, cfg.use_degree)
         if prep.input_pe is not None:
             x = x + prep.input_pe
         mode = cfg.attention_mode()
@@ -244,7 +250,7 @@ class Model:
 
 
 def _normal_param(rng, *shape) -> Parameter:
-    return Parameter(Tensor(rng.normal(0.0, INIT_STD, size=shape)))
+    return Parameter(rng.normal(0.0, INIT_STD, size=shape))
 
 
 def build_model(config: ModelConfig) -> Model:
@@ -267,19 +273,19 @@ def build_model(config: ModelConfig) -> Model:
                                w_out=_normal_param(rng, config.d_z, config.d_z),
                                heads=config.heads)
         params = BlockParams(attn=attn,
-                             ln1_gain=Parameter(Tensor(np.ones(config.d_z))),
-                             ln1_bias=Parameter(Tensor(np.zeros(config.d_z))),
-                             ln2_gain=Parameter(Tensor(np.ones(config.d_z))),
-                             ln2_bias=Parameter(Tensor(np.zeros(config.d_z))),
+                             ln1_gain=Parameter(np.ones(config.d_z)),
+                             ln1_bias=Parameter(np.zeros(config.d_z)),
+                             ln2_gain=Parameter(np.ones(config.d_z)),
+                             ln2_bias=Parameter(np.zeros(config.d_z)),
                              ffn_w1=_normal_param(rng, config.d_z, config.ffn_dim),
-                             ffn_b1=Parameter(Tensor(np.zeros(config.ffn_dim))),
+                             ffn_b1=Parameter(np.zeros(config.ffn_dim)),
                              ffn_w2=_normal_param(rng, config.ffn_dim, config.d_z),
-                             ffn_b2=Parameter(Tensor(np.zeros(config.d_z))))
+                             ffn_b2=Parameter(np.zeros(config.d_z)))
         blocks.append(TransformerBlock(params, topology=topology, edge=edge, graphormer=gbias))
 
     out_dim = 1 if config.task == "graph_regression" else config.num_classes
     head_w = _normal_param(rng, config.d_z, out_dim)
-    head_b = Parameter(Tensor(np.zeros(out_dim)))
+    head_b = Parameter(np.zeros(out_dim))
     return Model(config, nodes, topology, edge, gbias, blocks, head_w, head_b)
 
 

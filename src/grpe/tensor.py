@@ -1,20 +1,18 @@
-"""Dense float64 tensor math with an explicit backward for every op.
+"""Parameter storage and the raw numpy kernels the layers share.
 
-There is no tape: each operation is a pure function paired with a
-``*_backward`` companion, and composite layers wire their own reverse
-passes from these pieces. This keeps the dependency surface at numpy
-and makes the finite-difference checker an honest oracle.
-
-Raw ``numpy`` helpers (``softmax_lastdim``, ``layer_norm_rows``, ...) hold
-the single source of truth for each formula; the ``Tensor``-level ops wrap
-them, and the attention kernels reuse them on plain arrays.
+``Tensor`` holds a finite float64 array and ``Parameter`` pairs one with
+its accumulated gradient. The helpers below work on plain arrays, each
+with a ``*_backward`` companion. There is no tape: composite layers wire
+their own reverse passes from these pieces, which keeps the dependency
+surface at numpy and makes the finite-difference checker an honest
+oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 
 LAYER_NORM_EPS = 1e-5
 
@@ -24,7 +22,7 @@ class Tensor:
 
     Invariants: ``len(data) == product(shape)`` (guaranteed by the ndarray
     backing) and every entry finite. NaN or Inf anywhere is an error state,
-    checked at construction so it cannot silently propagate through ops.
+    checked at construction unless ``check`` is false.
     """
 
     __slots__ = ("data",)
@@ -35,37 +33,21 @@ class Tensor:
             raise NumericError("tensor contains non-finite entries")
         self.data = arr
 
-    @classmethod
-    def zeros(cls, *shape) -> "Tensor":
-        return cls(np.zeros(shape, dtype=np.float64), check=False)
-
     @property
     def shape(self):
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.ndim else float(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), check=False)
-
-    def tolist(self):
-        return self.data.tolist()
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)})"
 
 
 class Parameter:
-    """A tensor paired with an accumulated gradient of the same shape.
+    """An array, held as a ``Tensor``, paired with an accumulated gradient
+    of the same shape.
 
     Gradients accumulate across backward calls; ``zero_grad`` resets them.
     The trainer is the single writer of ``value``.
@@ -74,7 +56,7 @@ class Parameter:
     __slots__ = ("value", "grad")
 
     def __init__(self, value):
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
+        self.value = Tensor(value)
         self.grad = Tensor(np.zeros_like(self.value.data), check=False)
 
     def zero_grad(self):
@@ -88,32 +70,8 @@ class Parameter:
         return f"Parameter(shape={tuple(self.shape)})"
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """C = A @ B for 2-d operands."""
-    av, bv = _as_array(a), _as_array(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {av.shape} and {bv.shape}")
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {av.shape} vs {bv.shape}")
-    return Tensor(av @ bv)
-
-
-def matmul_backward(d_out, a, b):
-    """Returns (dA, dB) = (dC @ B^T, A^T @ dC)."""
-    dv, av, bv = _as_array(d_out), _as_array(a), _as_array(b)
-    return Tensor(dv @ bv.T, check=False), Tensor(av.T @ dv, check=False)
-
-
-# ---------------------------------------------------------------------------
-# softmax over rows
+# softmax and layer norm on raw arrays
 # ---------------------------------------------------------------------------
 
 def softmax_lastdim(arr: np.ndarray) -> np.ndarray:
@@ -127,103 +85,6 @@ def softmax_lastdim_backward(d_out: np.ndarray, out: np.ndarray) -> np.ndarray:
     """dX = Y * (dY - sum(dY * Y)) along the last axis."""
     inner = (d_out * out).sum(axis=-1, keepdims=True)
     return out * (d_out - inner)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of an m x n tensor; each output row sums to 1."""
-    av = _as_array(a)
-    if av.ndim != 2 or av.shape[1] == 0:
-        raise ShapeError(f"softmax_rows expects m x n with n >= 1, got {av.shape}")
-    return Tensor(softmax_lastdim(av))
-
-
-def softmax_rows_backward(d_out, out) -> Tensor:
-    return Tensor(softmax_lastdim_backward(_as_array(d_out), _as_array(out)), check=False)
-
-
-# ---------------------------------------------------------------------------
-# row gather / scatter-add
-# ---------------------------------------------------------------------------
-
-def gather_rows(table: Tensor, idx) -> Tensor:
-    """out[i, j] = table[idx[i, j]] for an integer index matrix.
-
-    ``table`` is R x d, ``idx`` is m x n with entries in [0, R), and the
-    result is m x n x d.
-    """
-    tv = _as_array(table)
-    ix = np.asarray(idx)
-    if tv.ndim != 2 or ix.ndim != 2:
-        raise ShapeError(f"gather_rows expects 2-d table and index, got {tv.shape}, {ix.shape}")
-    if not np.issubdtype(ix.dtype, np.integer):
-        raise ShapeError("index matrix must be integer valued")
-    if ix.size and (ix.min() < 0 or ix.max() >= tv.shape[0]):
-        raise IndexError(f"gather index out of range [0, {tv.shape[0]})")
-    return Tensor(tv[ix], check=False)
-
-
-def gather_rows_backward(d_out, idx, num_rows: int) -> Tensor:
-    """Scatter-add of d_out back into a zero R x d table.
-
-    Duplicate indices sum; accumulation runs in row-major (i, j) order so
-    the result is bit-identical to an explicit double loop.
-    """
-    dv = _as_array(d_out)
-    ix = np.asarray(idx)
-    if ix.size and (ix.min() < 0 or ix.max() >= num_rows):
-        raise IndexError(f"scatter index out of range [0, {num_rows})")
-    d_table = np.zeros((num_rows, dv.shape[-1]), dtype=np.float64)
-    # np.add.at iterates the flattened (row-major) index order, matching the
-    # documented accumulation order exactly.
-    np.add.at(d_table, ix.ravel(), dv.reshape(-1, dv.shape[-1]))
-    return Tensor(d_table, check=False)
-
-
-# ---------------------------------------------------------------------------
-# elementwise suite
-# ---------------------------------------------------------------------------
-
-def _check_same_shape(av, bv, op):
-    if av.shape != bv.shape:
-        raise ShapeError(f"{op}: shapes differ, {av.shape} vs {bv.shape}")
-
-
-def add(a, b) -> Tensor:
-    av, bv = _as_array(a), _as_array(b)
-    _check_same_shape(av, bv, "add")
-    return Tensor(av + bv)
-
-
-def add_backward(d_out):
-    d = _as_array(d_out)
-    return Tensor(d, check=False), Tensor(d.copy(), check=False)
-
-
-def sub(a, b) -> Tensor:
-    av, bv = _as_array(a), _as_array(b)
-    _check_same_shape(av, bv, "sub")
-    return Tensor(av - bv)
-
-
-def sub_backward(d_out):
-    d = _as_array(d_out)
-    return Tensor(d, check=False), Tensor(-d, check=False)
-
-
-def scale(a, c: float) -> Tensor:
-    return Tensor(_as_array(a) * float(c))
-
-
-def scale_backward(d_out, c: float) -> Tensor:
-    return Tensor(_as_array(d_out) * float(c), check=False)
-
-
-def relu(a) -> Tensor:
-    return Tensor(np.maximum(_as_array(a), 0.0))
-
-
-def relu_backward(d_out, a) -> Tensor:
-    return Tensor(_as_array(d_out) * (_as_array(a) > 0.0), check=False)
 
 
 def layer_norm_rows(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -249,18 +110,6 @@ def layer_norm_rows_backward(d_out, x, gain):
     dx = inv * (dy - dy.mean(axis=-1, keepdims=True)
                 - y * (dy * y).mean(axis=-1, keepdims=True))
     return dx, dgain, dbias
-
-
-def layer_norm(x, gain, bias) -> Tensor:
-    xv, gv, bv = _as_array(x), _as_array(gain), _as_array(bias)
-    if xv.shape[-1] != gv.shape[-1] or xv.shape[-1] != bv.shape[-1]:
-        raise ShapeError("layer_norm: gain/bias length must match last dim")
-    return Tensor(layer_norm_rows(xv, gv, bv))
-
-
-def layer_norm_backward(d_out, x, gain):
-    dx, dg, db = layer_norm_rows_backward(_as_array(d_out), _as_array(x), _as_array(gain))
-    return Tensor(dx, check=False), Tensor(dg, check=False), Tensor(db, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, NumericError
 from .model import Model, ModelConfig, build_model, loss_and_grad
 from .encodings import sign_flip_augment
-from .tensor import Tensor
 
 CHECKPOINT_FORMAT = "grpe-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -165,12 +164,12 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
                 if cfg.lap_sign_flip and prep.input_pe is not None:
                     flipped = sign_flip_augment(prep.input_pe,
                                                 int(st.rng.integers(0, 2 ** 31)))
-                    prep = _with_pe(prep, flipped.data)
+                    prep = replace(prep, input_pe=flipped)
                 value, d_pred, cache = _sample_loss(model, prep, class_weights)
                 if not math.isfinite(value):
                     raise NumericError(
                         f"loss diverged (non-finite) at epoch {epoch + 1}, sample {int(idx)}")
-                model.backward(_scale_grad(d_pred, 1.0 / len(batch)), cache)
+                model.backward(d_pred * (1.0 / len(batch)), cache)
                 sample_losses.append(value)
             lr = _scheduled_lr(cfg, st.global_step, total_steps)
             adam_step(params, st, lr, cfg.beta1, cfg.beta2, cfg.adam_eps,
@@ -185,17 +184,6 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
         if cfg.stop_at_train_loss is not None and train_loss < cfg.stop_at_train_loss:
             break
     return history
-
-
-def _with_pe(prep, pe):
-    from dataclasses import replace
-    return replace(prep, input_pe=pe)
-
-
-def _scale_grad(d_pred, factor: float):
-    if isinstance(d_pred, float):
-        return d_pred * factor
-    return d_pred * factor
 
 
 def mean_loss(model: Model, prepared, class_weights=None) -> float:
@@ -274,41 +262,61 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model (and trainer state, if saved) from a checkpoint."""
+    """Rebuild a model (and trainer state, if saved) from a checkpoint.
+
+    A file that is not a well-formed checkpoint raises ``CheckpointError``;
+    a non-finite tensor entry raises ``NumericError``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc.msg}") from None
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {payload.get('version')}")
     try:
         config = ModelConfig(**payload["config"])
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ConfigError) as exc:
         raise CheckpointError(f"bad config block: {exc}") from None
     model = build_model(config)
+    params, shapes = payload.get("params"), payload.get("shapes")
+    if not isinstance(params, dict) or not isinstance(shapes, dict):
+        raise CheckpointError(f"{path} lacks its params or shapes block")
     for name, p in model.parameters():
-        if name not in payload["params"]:
+        if name not in params or name not in shapes:
             raise CheckpointError(f"missing tensor {name!r}")
-        shape = tuple(payload["shapes"][name])
-        if shape != p.value.shape:
+        try:
+            shape = tuple(shapes[name])
+            value = np.array(params[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"tensor {name!r} is malformed: {exc}") from None
+        if shape != p.value.shape or value.size != p.value.size:
             raise CheckpointError(
                 f"tensor {name!r} has shape {shape}, expected {tuple(p.value.shape)}")
-        p.value = Tensor(np.array(payload["params"][name], dtype=np.float64).reshape(shape))
+        if not np.all(np.isfinite(value)):
+            raise NumericError(f"tensor {name!r} has non-finite entries")
+        p.value.data[...] = value.reshape(shape)
         p.zero_grad()
     tr = payload.get("trainer")
     if tr is not None:
-        st = TrainerState(model, 0)
-        st.t = int(tr["t"])
-        for key in st.m:
-            if key not in tr["m"]:
-                raise CheckpointError(f"missing optimizer moment for {key!r}")
-            st.m[key] = np.array(tr["m"][key], dtype=np.float64).reshape(st.m[key].shape)
-            st.v[key] = np.array(tr["v"][key], dtype=np.float64).reshape(st.v[key].shape)
-        st.rng.bit_generator.state = tr["rng_state"]
-        st.epochs_done = int(tr["epochs_done"])
-        st.global_step = int(tr["global_step"])
-        model.trainer = st
+        try:
+            model.trainer = _trainer_from(model, tr)
+        except (TypeError, KeyError, ValueError) as exc:
+            raise CheckpointError(f"bad trainer block: {exc!r}") from None
     return model
+
+
+def _trainer_from(model: Model, tr: dict) -> TrainerState:
+    st = TrainerState(model, 0)
+    st.t = int(tr["t"])
+    for key in st.m:
+        if key not in tr["m"] or key not in tr["v"]:
+            raise CheckpointError(f"missing optimizer moment for {key!r}")
+        st.m[key] = np.array(tr["m"][key], dtype=np.float64).reshape(st.m[key].shape)
+        st.v[key] = np.array(tr["v"][key], dtype=np.float64).reshape(st.v[key].shape)
+    st.rng.bit_generator.state = tr["rng_state"]
+    st.epochs_done = int(tr["epochs_done"])
+    st.global_step = int(tr["global_step"])
+    return st

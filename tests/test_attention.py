@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from grpe.attention import (AttentionParams, PEMode, TransformerBlock,
-                            graphormer_scores, grpe_scores_fast,
+                            _graphormer_scores_fwd, grpe_scores_fast,
                             grpe_scores_naive, grpe_values, merge_heads,
-                            multi_head_attention, plain_attention,
-                            score_dot_counter, split_heads)
+                            mha_forward, score_dot_counter, split_heads)
 from grpe.encodings import init_tables
 from grpe.errors import ConfigError
 from grpe.graph import (GraphSample, attach_virtual_node, bfs_all_pairs,
                         edge_indices, topology_indices)
 from grpe.model import ModelConfig, build_model
 from grpe.synthetic import random_graph
-from grpe.tensor import Parameter, Tensor, softmax_lastdim
+from grpe.tensor import Parameter, softmax_lastdim
 
 
 def table_cfg(L=3, e=2, d_z=16, heads=2, **kw):
@@ -41,11 +40,26 @@ def make_inputs(rng, n, L, e, d_z, seed=0):
 
 
 def attn_params(rng, d_x, d_z, heads):
-    return AttentionParams(w_query=Parameter(Tensor(rng.normal(0, 0.1, (d_x, d_z)))),
-                           w_key=Parameter(Tensor(rng.normal(0, 0.1, (d_x, d_z)))),
-                           w_value=Parameter(Tensor(rng.normal(0, 0.1, (d_x, d_z)))),
-                           w_out=Parameter(Tensor(rng.normal(0, 0.1, (d_z, d_z)))),
+    return AttentionParams(w_query=Parameter(rng.normal(0, 0.1, (d_x, d_z))),
+                           w_key=Parameter(rng.normal(0, 0.1, (d_x, d_z))),
+                           w_value=Parameter(rng.normal(0, 0.1, (d_x, d_z))),
+                           w_out=Parameter(rng.normal(0, 0.1, (d_z, d_z))),
                            heads=heads)
+
+
+def attention(x, params, kind, t_idx=None, e_idx=None, topo=None, edge=None,
+              want_trace=False):
+    """One attention layer as the model runs it; returns (z, trace)."""
+    z, trace, _ = mha_forward(x, params, PEMode(kind), t_idx, e_idx, topo, edge, None,
+                              want_trace=want_trace)
+    return z, trace
+
+
+def graphormer_map(q, k, t_idx, e_idx, gbias, heads):
+    """The scalar-bias score kernel on (N, d_z) queries and keys."""
+    scores, _, _ = _graphormer_scores_fwd(split_heads(q, heads), split_heads(k, heads),
+                                          t_idx, e_idx, gbias, False)
+    return scores
 
 
 class TestPlainAttention:
@@ -53,16 +67,16 @@ class TestPlainAttention:
         rng = np.random.default_rng(0)
         params = attn_params(rng, 8, 8, 2)
         x = rng.normal(size=(1, 8))
-        z, trace = plain_attention(x, params)
+        z, trace = attention(x, params, "none", want_trace=True)
         np.testing.assert_allclose(trace.attn, np.ones((2, 1, 1)))
         want = (x @ params.w_value.value.data) @ params.w_out.value.data
-        np.testing.assert_allclose(z.data, want, atol=1e-12)
+        np.testing.assert_allclose(z, want, atol=1e-12)
 
     def test_identical_features_uniform_rows(self):
         rng = np.random.default_rng(1)
         params = attn_params(rng, 8, 8, 2)
         x = np.tile(rng.normal(size=(1, 8)), (5, 1))
-        _, trace = plain_attention(x, params)
+        _, trace = attention(x, params, "none", want_trace=True)
         np.testing.assert_allclose(trace.attn, np.full((2, 5, 5), 0.2), atol=1e-12)
 
     def test_matches_straight_line_reimplementation(self):
@@ -70,7 +84,7 @@ class TestPlainAttention:
         d_z, heads, n = 12, 3, 6
         params = attn_params(rng, d_z, d_z, heads)
         x = rng.normal(size=(n, d_z))
-        z, trace = plain_attention(x, params)
+        z, trace = attention(x, params, "none", want_trace=True)
 
         # independent straight-line computation, one head at a time
         dh = d_z // heads
@@ -89,12 +103,12 @@ class TestPlainAttention:
             z_heads.append(a @ vs)
             assert np.abs(a - trace.attn[h]).max() < 1e-12
         want = np.concatenate(z_heads, axis=1) @ params.w_out.value.data
-        assert np.abs(z.data - want).max() < 1e-12
+        assert np.abs(z - want).max() < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         params = attn_params(rng, 8, 8, 4)
-        _, trace = plain_attention(rng.normal(size=(7, 8)), params)
+        _, trace = attention(rng.normal(size=(7, 8)), params, "none", want_trace=True)
         np.testing.assert_allclose(trace.attn.sum(axis=2), 1.0, atol=1e-12)
 
 
@@ -167,7 +181,7 @@ class TestGrpeScores:
         dot = (q @ k.T) / math.sqrt(8)
         a_enc = s - dot
         assert abs(a_enc[0, 1] - a_enc[2, 3]) > 1e-3  # feature-dependent
-        g = graphormer_scores(q, k, t_idx, e_idx, gbias, heads=1)[0]
+        g = graphormer_map(q, k, t_idx, e_idx, gbias, heads=1)[0]
         bias = g - dot
         assert abs(bias[0, 1] - bias[2, 3]) < 1e-12  # identical buckets, same bias
 
@@ -227,7 +241,7 @@ class TestGraphormerScores:
         e_idx = np.zeros((n, n), dtype=np.int64)
         q = rng.normal(size=(n, 8))
         k = rng.normal(size=(n, 8))
-        got = graphormer_scores(q, k, t_idx, e_idx, gbias, heads=2)
+        got = graphormer_map(q, k, t_idx, e_idx, gbias, heads=2)
         qh, kh = split_heads(q, 2), split_heads(k, 2)
         np.testing.assert_array_equal(got, qh @ kh.transpose(0, 2, 1) / math.sqrt(4))
 
@@ -241,7 +255,7 @@ class TestGraphormerScores:
         n = g.num_nodes
         q = rng.normal(size=(n, 8))
         k = rng.normal(size=(n, 8))
-        got = graphormer_scores(q, k, t_idx, e_idx, gbias, heads=2)
+        got = graphormer_map(q, k, t_idx, e_idx, gbias, heads=2)
         for h in range(2):
             for i in range(n):
                 for j in range(n):
@@ -260,7 +274,7 @@ class TestMultiHeadAttention:
         topo, edge, t_idx, e_idx, _, _, _ = make_inputs(rng, 5, 3, 2, 16)
         params = attn_params(rng, 16, 16, 1)
         x = rng.normal(size=(t_idx.shape[0], 16))
-        z, _ = multi_head_attention(x, params, "grpe_fast", t_idx, e_idx, topo, edge)
+        z, _ = attention(x, params, "grpe_fast", t_idx, e_idx, topo, edge)
         q = x @ params.w_query.value.data
         k = x @ params.w_key.value.data
         v = x @ params.w_value.value.data
@@ -268,46 +282,46 @@ class TestMultiHeadAttention:
         attn = softmax_lastdim(s)
         zz = grpe_values(attn, v, t_idx, e_idx, topo, edge, heads=1)
         want = zz @ params.w_out.value.data
-        np.testing.assert_allclose(z.data, want, atol=1e-14)
+        np.testing.assert_allclose(z, want, atol=1e-14)
 
     def test_fast_equals_naive_end_to_end(self):
         rng = np.random.default_rng(15)
         topo, edge, t_idx, e_idx, _, _, _ = make_inputs(rng, 9, 3, 2, 16)
         params = attn_params(rng, 16, 16, 4)
         x = rng.normal(size=(t_idx.shape[0], 16))
-        z_f, _ = multi_head_attention(x, params, "grpe_fast", t_idx, e_idx, topo, edge)
-        z_n, _ = multi_head_attention(x, params, "grpe_naive", t_idx, e_idx, topo, edge)
-        assert np.abs(z_f.data - z_n.data).max() < 1e-10
+        z_f, _ = attention(x, params, "grpe_fast", t_idx, e_idx, topo, edge)
+        z_n, _ = attention(x, params, "grpe_naive", t_idx, e_idx, topo, edge)
+        assert np.abs(z_f - z_n).max() < 1e-10
 
     def test_trace_components_recompose_scores(self):
         rng = np.random.default_rng(30)
         topo, edge, t_idx, e_idx, _, _, _ = make_inputs(rng, 6, 3, 2, 16)
         params = attn_params(rng, 16, 16, 2)
         x = rng.normal(size=(t_idx.shape[0], 16))
-        _, trace = multi_head_attention(x, params, "grpe_fast", t_idx, e_idx,
-                                        topo, edge, want_trace=True)
+        _, trace = attention(x, params, "grpe_fast", t_idx, e_idx, topo, edge,
+                             want_trace=True)
         scores = (trace.dot + trace.topology + trace.edge) / math.sqrt(8)
         np.testing.assert_allclose(softmax_lastdim(scores), trace.attn, atol=1e-12)
 
     def test_mode_none_equals_plain(self):
+        # grpe with every encoding term switched off is plain attention:
+        # bit for bit on the fast path, to rounding on the per-pair loop
         rng = np.random.default_rng(16)
+        topo, edge, t_idx, e_idx, _, _, _ = make_inputs(rng, 5, 3, 2, 16)
         params = attn_params(rng, 16, 16, 2)
-        x = rng.normal(size=(6, 16))
-        z1, _ = multi_head_attention(x, params, "none")
-        z2, _ = plain_attention(x, params)
-        np.testing.assert_array_equal(z1.data, z2.data)
+        x = rng.normal(size=(t_idx.shape[0], 16))
+        z_plain, _ = attention(x, params, "none")
+        off = dict(use_topology=False, use_edge=False, use_value=False)
+        z_fast, _, _ = mha_forward(x, params, PEMode("grpe_fast", **off),
+                                   t_idx, e_idx, topo, edge, None)
+        z_naive, _, _ = mha_forward(x, params, PEMode("grpe_naive", **off),
+                                    t_idx, e_idx, topo, edge, None)
+        np.testing.assert_array_equal(z_fast, z_plain)
+        assert np.abs(z_naive - z_plain).max() < 1e-12
 
     def test_unknown_mode_rejected(self):
-        rng = np.random.default_rng(17)
-        params = attn_params(rng, 8, 8, 2)
-        with pytest.raises(ConfigError):
-            multi_head_attention(rng.normal(size=(3, 8)), params, "rotary")
-
-    def test_missing_tables_rejected(self):
-        rng = np.random.default_rng(18)
-        params = attn_params(rng, 8, 8, 2)
-        with pytest.raises(ConfigError):
-            multi_head_attention(rng.normal(size=(3, 8)), params, "grpe_fast")
+        with pytest.raises(ConfigError, match="rotary"):
+            PEMode("rotary")
 
 
 class TestDotCounter:
@@ -338,14 +352,14 @@ class TestTransformerBlock:
         from grpe.attention import BlockParams
         params = BlockParams(
             attn=attn_params(rng, d_z, d_z, heads),
-            ln1_gain=Parameter(Tensor(np.ones(d_z))),
-            ln1_bias=Parameter(Tensor(np.zeros(d_z))),
-            ln2_gain=Parameter(Tensor(np.ones(d_z))),
-            ln2_bias=Parameter(Tensor(np.zeros(d_z))),
-            ffn_w1=Parameter(Tensor(rng.normal(0, 0.1, (d_z, d_z)))),
-            ffn_b1=Parameter(Tensor(np.zeros(d_z))),
-            ffn_w2=Parameter(Tensor(rng.normal(0, 0.1, (d_z, d_z)))),
-            ffn_b2=Parameter(Tensor(np.zeros(d_z))))
+            ln1_gain=Parameter(np.ones(d_z)),
+            ln1_bias=Parameter(np.zeros(d_z)),
+            ln2_gain=Parameter(np.ones(d_z)),
+            ln2_bias=Parameter(np.zeros(d_z)),
+            ffn_w1=Parameter(rng.normal(0, 0.1, (d_z, d_z))),
+            ffn_b1=Parameter(np.zeros(d_z)),
+            ffn_w2=Parameter(rng.normal(0, 0.1, (d_z, d_z))),
+            ffn_b2=Parameter(np.zeros(d_z)))
         if zero_out:
             params.attn.w_out.value.data[...] = 0.0
             params.ffn_w2.value.data[...] = 0.0

@@ -225,6 +225,27 @@ class TestTrainEval:
         assert echoed["layers"] == 1     # explicit flag wins
         assert echoed["d_z"] == 64       # preset fills the rest
 
+    def test_config_file_accepts_every_train_key(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        main(["generate", "--task", "spd2", "--count", "4", "--seed", "4",
+              "--min-nodes", "4", "--max-nodes", "6", "--out", str(data)])
+        train_keys = {"weight_decay": 0.01, "grad_clip": 1.0, "warmup_steps": 2,
+                      "lap_sign_flip": True, "stop_at_train_loss": 1e-6,
+                      "beta1": 0.8, "beta2": 0.99, "adam_eps": 1e-7}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"layers": 1, "d_z": 16, "ffn_dim": 16, "heads": 2,
+                                        "seed": 3, "epochs": 2, **train_keys}))
+        capsys.readouterr()
+        code, out, _ = run(capsys, "train", "--data", str(data),
+                           "--out", str(tmp_path / "run"), "--config", str(cfg_file))
+        assert code == 0
+        model_cfg = json.loads(out.splitlines()[0].split("model: ", 1)[1])
+        train_cfg = json.loads(out.splitlines()[1].split("train: ", 1)[1])
+        assert {k: train_cfg[k] for k in train_keys} == train_keys
+        assert train_cfg["epochs"] == 2
+        # seed is the model seed, as with --seed; the trainer derives its own
+        assert model_cfg["seed"] == 3 and train_cfg["seed"] is None
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         main(["generate", "--task", "spd2", "--count", "2", "--out", str(data)])
@@ -257,6 +278,17 @@ class TestSelfcheck:
         data.write_text("\n".join(lines) + "\n")
         code, out, _ = run(capsys, "selfcheck", "--targets", str(data))
         assert code == errors.EXIT_CHECK
+
+    def test_targets_skip_one_node_records(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        main(["generate", "--task", "spd2", "--count", "3", "--seed", "6",
+              "--out", str(data)])
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write('{"nodes":[0],"edges":[],"target":0.0}\n')
+        capsys.readouterr()
+        code, out, _ = run(capsys, "selfcheck", "--targets", str(data))
+        assert code == 0
+        assert "cases=3" in out and "skipped 1 one-node record" in out
 
     def test_single_suite_filter(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--suite", "reduction", "--cases", "5")
@@ -362,3 +394,31 @@ class TestExitCodes:
         main(["generate", "--task", "spd2", "--count", "2", "--out", str(data)])
         code, _, _ = run(capsys, "eval", "--ckpt", str(ck), "--data", str(data))
         assert code == errors.EXIT_IO
+
+    def test_checkpoint_not_an_object_io(self, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        ck.write_text("[1, 2, 3]")
+        data = tmp_path / "d.jsonl"
+        main(["generate", "--task", "spd2", "--count", "2", "--out", str(data)])
+        code, _, err = run(capsys, "eval", "--ckpt", str(ck), "--data", str(data))
+        assert code == errors.EXIT_IO
+        assert "not a checkpoint" in err
+
+    def test_checkpoint_without_shapes_io(self, trained, tmp_path, capsys):
+        data, run_dir = trained
+        payload = json.loads((run_dir / "checkpoint.json").read_text())
+        del payload["shapes"]
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "eval", "--ckpt", str(ck), "--data", str(data))
+        assert code == errors.EXIT_IO
+        assert "shapes" in err
+
+    def test_eval_out_of_vocabulary_node_type(self, trained, tmp_path, capsys):
+        _, run_dir = trained
+        data = tmp_path / "oov.jsonl"
+        data.write_text('{"nodes":[0,40,1],"edges":[[0,1,0],[1,2,0]],"target":0.5}\n')
+        code, _, err = run(capsys, "eval", "--ckpt", str(run_dir / "checkpoint.json"),
+                           "--data", str(data))
+        assert code == errors.EXIT_CONFIG
+        assert "node type 40" in err and "vocabulary" in err

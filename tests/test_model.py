@@ -88,6 +88,21 @@ class TestForward:
         with pytest.raises(ConfigError):
             model.forward(bare)
 
+    def test_bfs_only_for_modes_that_read_buckets(self, monkeypatch):
+        from grpe import graph as graphs
+        calls = []
+        real = graphs.bfs_all_pairs
+        monkeypatch.setattr(graphs, "bfs_all_pairs", lambda g: calls.append(1) or real(g))
+        s = GraphSample(graph=random_graph(np.random.default_rng(3), 6, 3, 6, 0.5), target=0.0)
+        for mode, reads in (("none", False), ("laplacian", False),
+                            ("grpe", True), ("graphormer", True)):
+            calls.clear()
+            model = build_model(small_cfg(pe_mode=mode, lap_pe_dim=4))
+            prep = model.prepare(s)
+            assert bool(calls) == reads, mode
+            assert (prep.topo_idx is not None) == reads and (prep.edge_idx is not None) == reads
+            assert math.isfinite(model.forward(prep))
+
     def test_task_target_mismatch(self):
         model = build_model(small_cfg())
         g = random_graph(np.random.default_rng(2), 4, 3, 6, 0.5)

@@ -9,7 +9,7 @@ from grpe.errors import CheckpointError, ConfigError
 from grpe.graph import GraphSample, permute_sample
 from grpe.model import ModelConfig, build_model
 from grpe.synthetic import make_synthetic, random_graph
-from grpe.tensor import Parameter, Tensor
+from grpe.tensor import Parameter
 from grpe.training import (TrainConfig, TrainerState, adam_step, evaluate,
                            load_checkpoint, lr_at, mean_loss, save_checkpoint,
                            train)
@@ -39,7 +39,7 @@ class _OneParamModel:
     """Minimal stand-in exposing the parameters() contract for adam tests."""
 
     def __init__(self, value):
-        self.p = Parameter(Tensor(np.array(value)))
+        self.p = Parameter(np.array(value))
 
     def parameters(self):
         return [("p", self.p)]
@@ -304,6 +304,17 @@ class TestCheckpoint:
         payload["shapes"]["head.weight"] = [3, 3]
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="head.weight"):
+            load_checkpoint(path)
+
+    def test_non_finite_tensor_is_numeric_error(self, tmp_path):
+        import json
+        from grpe.errors import NumericError
+        path = tmp_path / "ck.json"
+        save_checkpoint(build_model(small_cfg()), path)
+        payload = json.loads(path.read_text())
+        payload["params"]["edge.key"][3] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(NumericError, match="edge.key"):
             load_checkpoint(path)
 
     def test_resume_equals_uninterrupted(self, tmp_path):
