@@ -111,6 +111,52 @@ def _fold_table_grad(param: Parameter, d_split: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# bucket gathers and scatters over flat positions
+#
+# A per-node bucket table (H, N, R) is read per pair (i, j) at node i (the
+# query side) or node j (the key side) and bucket idx[i, j]. Flattening the
+# table to (H, N * R) turns that into one 1-D position per pair, so a gather
+# is one ``np.take`` and its adjoint scatter one ``np.bincount`` per head.
+# Positions are rebuilt per call rather than cached: they cost about as much
+# memory as the bucket matrix itself, for every layer whose cache is alive.
+# ---------------------------------------------------------------------------
+
+def _bucket_positions(idx: np.ndarray, buckets: int, by_key: bool) -> np.ndarray:
+    """Raveled ``node * buckets + idx[i, j]``, node i (query) or j (key)."""
+    n = idx.shape[0]
+    node = np.arange(n)[None, :] if by_key else np.arange(n)[:, None]
+    return (node * buckets + idx).ravel()
+
+
+def _gather_buckets(table: np.ndarray, idx: np.ndarray, by_key: bool = False) -> np.ndarray:
+    """(H, N, R) per-node bucket table -> (H, N, N) values
+    ``table[h, i, idx[i, j]]``, or ``table[h, j, idx[i, j]]`` when ``by_key``."""
+    heads, n, buckets = table.shape
+    pos = _bucket_positions(idx, buckets, by_key)
+    return np.take(table.reshape(heads, -1), pos, axis=1).reshape(heads, n, n)
+
+
+def _bucket_sums(pairs: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
+    """(H, N, N) pair values -> (H, size) sums per flat position ``pos``.
+
+    ``np.bincount`` adds each bin's terms in pair order, starting from zero,
+    so the sums equal a sequential ``np.add.at`` into zeros bit for bit.
+    """
+    out = np.empty((pairs.shape[0], size))
+    for h, p in enumerate(pairs):
+        out[h] = np.bincount(pos, weights=p.ravel(), minlength=size)
+    return out
+
+
+def _scatter_buckets(pairs: np.ndarray, idx: np.ndarray, buckets: int,
+                     by_key: bool = False) -> np.ndarray:
+    """Adjoint of ``_gather_buckets``: (H, N, N) -> (H, N, R) bucket sums."""
+    heads, n, _ = pairs.shape
+    pos = _bucket_positions(idx, buckets, by_key)
+    return _bucket_sums(pairs, pos, n * buckets).reshape(heads, n, buckets)
+
+
+# ---------------------------------------------------------------------------
 # score kernels (forward + backward), batched over heads
 # ---------------------------------------------------------------------------
 
@@ -214,8 +260,6 @@ def _grpe_scores_naive_bwd(d_scores, cache):
 def _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts):
     heads, n, dh = qh.shape
     scale = 1.0 / math.sqrt(dh)
-    rows = np.arange(n)[:, None]  # broadcasts against (N, N) index matrices
-    cols = np.arange(n)[None, :]
 
     dot = qh @ kh.transpose(0, 2, 1)
     scores = dot.copy()
@@ -228,7 +272,7 @@ def _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts
         a_q = qh @ pq.transpose(0, 2, 1)   # (H, N, L + 4): q_i . P_b for all buckets
         a_k = kh @ pk.transpose(0, 2, 1)
         score_dot_counter.add(2 * heads * n * pq.shape[1])
-        topo_term = a_q[:, rows, t_idx] + a_k[:, cols, t_idx]
+        topo_term = _gather_buckets(a_q, t_idx) + _gather_buckets(a_k, t_idx, by_key=True)
         scores += topo_term
         cache.update(pq=pq, pk=pk)
     if mode.use_edge:
@@ -237,7 +281,7 @@ def _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts
         b_q = qh @ eq.transpose(0, 2, 1)   # (H, N, E + 3)
         b_k = kh @ ek.transpose(0, 2, 1)
         score_dot_counter.add(2 * heads * n * eq.shape[1])
-        edge_term = b_q[:, rows, e_idx] + b_k[:, cols, e_idx]
+        edge_term = _gather_buckets(b_q, e_idx) + _gather_buckets(b_k, e_idx, by_key=True)
         scores += edge_term
         cache.update(eq=eq, ek=ek)
     scores *= scale
@@ -245,37 +289,24 @@ def _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts
     return scores, parts, cache
 
 
-def _scatter_rowwise(target, index2d, values, axis_index):
-    """target[h][axis_index, index2d] += values[h] for every head."""
-    for h in range(target.shape[0]):
-        np.add.at(target[h], (axis_index, index2d), values[h])
-
-
 def _grpe_scores_fast_bwd(d_scores, cache):
     qh, kh = cache["qh"], cache["kh"]
     t_idx, e_idx, mode = cache["t_idx"], cache["e_idx"], cache["mode"]
-    heads, n, _ = qh.shape
-    rows2d = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    cols2d = np.broadcast_to(np.arange(n)[None, :], (n, n))
     g = d_scores * cache["scale"]
     dqh = g @ kh
     dkh = g.transpose(0, 2, 1) @ qh
     if mode.use_topology:
         pq, pk = cache["pq"], cache["pk"]
-        da_q = np.zeros((heads, n, pq.shape[1]))
-        da_k = np.zeros((heads, n, pk.shape[1]))
-        _scatter_rowwise(da_q, t_idx, g, rows2d)
-        _scatter_rowwise(da_k, t_idx, g, cols2d)
+        da_q = _scatter_buckets(g, t_idx, pq.shape[1])
+        da_k = _scatter_buckets(g, t_idx, pk.shape[1], by_key=True)
         dqh += da_q @ pq
         dkh += da_k @ pk
         _fold_table_grad(cache["topology"].query, da_q.transpose(0, 2, 1) @ qh)
         _fold_table_grad(cache["topology"].key, da_k.transpose(0, 2, 1) @ kh)
     if mode.use_edge:
         eq, ek = cache["eq"], cache["ek"]
-        db_q = np.zeros((heads, n, eq.shape[1]))
-        db_k = np.zeros((heads, n, ek.shape[1]))
-        _scatter_rowwise(db_q, e_idx, g, rows2d)
-        _scatter_rowwise(db_k, e_idx, g, cols2d)
+        db_q = _scatter_buckets(g, e_idx, eq.shape[1])
+        db_k = _scatter_buckets(g, e_idx, ek.shape[1], by_key=True)
         dqh += db_q @ eq
         dkh += db_k @ ek
         _fold_table_grad(cache["edge"].query, db_q.transpose(0, 2, 1) @ qh)
@@ -304,19 +335,13 @@ def _graphormer_scores_fwd(qh, kh, t_idx, e_idx, gbias, want_parts):
 def _graphormer_scores_bwd(d_scores, cache):
     qh, kh = cache["qh"], cache["kh"]
     t_idx, e_idx, gbias = cache["t_idx"], cache["e_idx"], cache["gbias"]
-    heads = qh.shape[0]
     g = d_scores * cache["scale"]
     dqh = g @ kh
     dkh = g.transpose(0, 2, 1) @ qh
-    for h in range(heads):
-        np.add.at(gbias.b.grad.data[:, h], t_idx.ravel(), d_scores[h].ravel())
+    gbias.b.grad.data += _bucket_sums(d_scores, t_idx.ravel(), gbias.b.shape[0]).T
     w = gbias.w.value.data
-    d_ew = np.zeros((gbias.edge_emb.shape[0], w.shape[1]))
-    if gbias.shared_w:
-        np.add.at(d_ew[:, 0], e_idx.ravel(), d_scores.sum(axis=0).ravel())
-    else:
-        for h in range(heads):
-            np.add.at(d_ew[:, h], e_idx.ravel(), d_scores[h].ravel())
+    d_bias = d_scores.sum(axis=0, keepdims=True) if gbias.shared_w else d_scores
+    d_ew = _bucket_sums(d_bias, e_idx.ravel(), gbias.edge_emb.shape[0]).T  # (E + 3, H or 1)
     gbias.edge_emb.grad.data += d_ew @ w.T
     gbias.w.grad.data += gbias.edge_emb.value.data.T @ d_ew
     return dqh, dkh
@@ -361,15 +386,12 @@ def _values_plain_bwd(d_zh, cache):
 
 
 def _grpe_values_fast_fwd(attn, vh, t_idx, e_idx, topology, edge):
-    heads, n, _ = attn.shape
-    rows2d = np.broadcast_to(np.arange(n)[:, None], (n, n))
+    heads = attn.shape[0]
     pv = split_heads(topology.value.value.data, heads)
     ev = split_heads(edge.value.value.data, heads)
     # Bucket masses: total attention each query spends on every bucket.
-    mass_t = np.zeros((heads, n, pv.shape[1]))
-    mass_e = np.zeros((heads, n, ev.shape[1]))
-    _scatter_rowwise(mass_t, t_idx, attn, rows2d)
-    _scatter_rowwise(mass_e, e_idx, attn, rows2d)
+    mass_t = _scatter_buckets(attn, t_idx, pv.shape[1])
+    mass_e = _scatter_buckets(attn, e_idx, ev.shape[1])
     zh = attn @ vh
     zh += mass_t @ pv
     zh += mass_e @ ev
@@ -381,16 +403,13 @@ def _grpe_values_fast_fwd(attn, vh, t_idx, e_idx, topology, edge):
 
 def _grpe_values_fast_bwd(d_zh, cache):
     attn, vh = cache["attn"], cache["vh"]
-    t_idx, e_idx = cache["t_idx"], cache["e_idx"]
     pv, ev = cache["pv"], cache["ev"]
-    n = attn.shape[1]
-    rows = np.arange(n)[:, None]
     d_attn = d_zh @ vh.transpose(0, 2, 1)
     d_vh = attn.transpose(0, 2, 1) @ d_zh
     d_mass_t = d_zh @ pv.transpose(0, 2, 1)
     d_mass_e = d_zh @ ev.transpose(0, 2, 1)
-    d_attn += d_mass_t[:, rows, t_idx]
-    d_attn += d_mass_e[:, rows, e_idx]
+    d_attn += _gather_buckets(d_mass_t, cache["t_idx"])
+    d_attn += _gather_buckets(d_mass_e, cache["e_idx"])
     _fold_table_grad(cache["topology"].value, cache["mass_t"].transpose(0, 2, 1) @ d_zh)
     _fold_table_grad(cache["edge"].value, cache["mass_e"].transpose(0, 2, 1) @ d_zh)
     return d_attn, d_vh

@@ -59,6 +59,26 @@ def _load_config_file(path):
     return data
 
 
+# JSON value types accepted for each config field annotation; a JSON integer
+# is also a valid float, and true/false are booleans only.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _check_file_types(file_cfg: dict, cls):
+    """Reject a config-file value whose JSON type does not fit its field."""
+    for key, value in file_cfg.items():
+        allowed = [t.strip() for t in cls.__dataclass_fields__[key].type.split("|")]
+        if value is None:
+            ok = "None" in allowed
+        elif isinstance(value, bool):
+            ok = "bool" in allowed
+        else:
+            ok = any(isinstance(value, _FIELD_TYPES.get(t, ())) for t in allowed)
+        if not ok:
+            raise ConfigError(f"config file key {key!r}: expected {' or '.join(allowed)}, "
+                              f"got {json.dumps(value)}")
+
+
 def _merge(defaults: dict, file_cfg: dict, flag_values: dict) -> dict:
     """Flag values (when given) beat the config file, which beats defaults."""
     merged = dict(defaults)
@@ -117,6 +137,7 @@ def _model_config_from_args(args, task: str, num_edge_types: int) -> ModelConfig
     unknown = set(file_cfg) - known_model - set(TrainConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"config file has unknown keys: {sorted(unknown)}")
+    _check_file_types(file_model, ModelConfig)
     flags = {}
     if getattr(args, "preset", None):
         flags.update(PRESETS[args.preset])
@@ -148,6 +169,7 @@ def _train_config_from_args(args, file_cfg: dict) -> TrainConfig:
     defaults = asdict(TrainConfig(epochs=50))
     model_keys = set(ModelConfig.__dataclass_fields__)
     file_train = {k: v for k, v in file_cfg.items() if k in defaults and k not in model_keys}
+    _check_file_types(file_train, TrainConfig)
     flags = {"epochs": args.epochs, "lr_start": args.lr_start,
              "lr_end": args.lr_end, "batch_size": args.batch}
     merged = _merge(defaults, file_train, flags)

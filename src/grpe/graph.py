@@ -208,15 +208,18 @@ def parse_graphs(path) -> list:
     """
     samples = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GraphParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            samples.append(_record_to_sample(rec, lineno))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise GraphParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+                samples.append(_record_to_sample(rec, lineno))
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     file_e = max((s.graph.num_edge_types for s in samples), default=0)
     return [restamp_edge_types(s, file_e) for s in samples]
 
@@ -273,7 +276,8 @@ def attach_virtual_node(g: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# all-pairs shortest paths (unweighted BFS per source)
+# all-pairs shortest paths: exact BFS per source (the reference) and the
+# distance pass bounded by L that ``Model.prepare`` runs
 # ---------------------------------------------------------------------------
 
 def bfs_all_pairs(g: Graph) -> np.ndarray:
@@ -298,6 +302,55 @@ def bfs_all_pairs(g: Graph) -> np.ndarray:
                     row[w] = du + 1
                     queue.append(w)
     return d
+
+
+def bounded_distances(g: Graph, max_distance: int) -> np.ndarray:
+    """Shortest-path distances clipped at ``max_distance + 1``, the FAR bucket.
+
+    Equals ``bfs_all_pairs(g)`` with every reachable distance above
+    ``max_distance`` replaced by ``max_distance + 1``, which is all that
+    ``topology_indices`` reads. All sources advance together: step k is one
+    matrix product of the frontier with the adjacency, so at most
+    ``max_distance`` products run. Pairs still unreached after them are FAR
+    within a connected component and UNREACHABLE across components.
+    """
+    n = g.num_nodes
+    # float32 products count paths exactly (at most n per entry) and run at
+    # BLAS speed, which boolean matmul does not.
+    adj = np.zeros((n, n), dtype=np.float32)
+    for i, j, _ in g.edges:
+        adj[i, j] = adj[j, i] = 1.0
+    d = np.full((n, n), max_distance + 1, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached
+    for step in range(1, max_distance + 1):
+        frontier = (frontier.astype(np.float32) @ adj > 0) & ~reached
+        if not frontier.any():
+            d[~reached] = UNREACHABLE  # every component is fully explored
+            return d
+        d[frontier] = step
+        reached |= frontier
+    comp = _component_labels(g)
+    d[comp[:, None] != comp[None, :]] = UNREACHABLE
+    return d
+
+
+def _component_labels(g: Graph) -> np.ndarray:
+    """Smallest node index of each node's connected component (union-find)."""
+    parent = list(range(g.num_nodes))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j, _ in g.edges:
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return np.array([root(a) for a in range(g.num_nodes)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ class Model:
         g = graphs.attach_virtual_node(sample.graph)
         topo_idx = edge_idx = None
         if cfg.attention_mode().kind != "none":  # the plain kernels read no buckets
-            dist = graphs.bfs_all_pairs(g)
+            dist = graphs.bounded_distances(g, cfg.L)
             topo_idx = graphs.topology_indices(dist, cfg.L, has_virtual_node=True)
             edge_idx = graphs.edge_indices(g)
         input_pe = None

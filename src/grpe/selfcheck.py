@@ -7,6 +7,7 @@ identities) and reports case counts plus the worst deviation observed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,17 +77,85 @@ def suite_equivalence(cases: int = 200, seed: int = 0) -> SuiteResult:
 
 
 def suite_bfs(cases: int = 200, seed: int = 0) -> SuiteResult:
-    """BFS all-pairs distances vs Floyd-Warshall, exact integer equality."""
+    """BFS all-pairs distances vs Floyd-Warshall, and the topology buckets
+    of the L-bounded distance pass vs the buckets of both, for L in
+    {1, 2, 5}; exact integer equality."""
     rng = np.random.default_rng(seed)
     mismatches = 0
     for _ in range(cases):
         n = int(rng.integers(1, 21))
         g = random_graph(rng, n, 1, 4, float(rng.uniform(0.0, 0.4)))
-        if rng.random() < 0.5:
+        vn = bool(rng.random() < 0.5)
+        if vn:
             g = graphs.attach_virtual_node(g)
-        mismatches += int((graphs.bfs_all_pairs(g) != floyd_warshall(g)).sum())
+        d_bfs, d_fw = graphs.bfs_all_pairs(g), floyd_warshall(g)
+        mismatches += int((d_bfs != d_fw).sum())
+        for L in (1, 2, 5):
+            t = graphs.topology_indices(graphs.bounded_distances(g, L), L, vn)
+            for d in (d_bfs, d_fw):
+                mismatches += int((t != graphs.topology_indices(d, L, vn)).sum())
     return SuiteResult("bfs", cases, float(mismatches), 0.0, mismatches == 0,
                        note="deviation counts mismatched entries")
+
+
+GRAPH_KINDS = ("random", "one_node", "edgeless", "disconnected")
+
+
+def _graph_of_kind(rng, kind: str):
+    """A small graph of the given kind and the edge-type count to model it
+    with: 0 for graphs without edges, so that E = 0 is covered too."""
+    if kind == "one_node":
+        return random_graph(rng, 1, 1, 4, 0.0), 0
+    if kind == "edgeless":
+        return random_graph(rng, int(rng.integers(2, 7)), 1, 4, 0.0), 0
+    e_types = int(rng.choice([1, 3]))
+    if kind == "random":
+        return random_graph(rng, int(rng.integers(2, 10)), e_types, 4,
+                            float(rng.uniform(0.2, 0.6))), e_types
+    parts = [random_graph(rng, int(rng.integers(2, 6)), e_types, 4, 0.7) for _ in range(2)]
+    off = parts[0].num_nodes
+    edges = parts[0].edges + tuple((i + off, j + off, t) for i, j, t in parts[1].edges)
+    return graphs.Graph(node_types=parts[0].node_types + parts[1].node_types, edges=edges,
+                        num_edge_types=e_types), e_types
+
+
+def _parameter_gradients(model, prep) -> dict:
+    """Gradient of the prediction with respect to every parameter."""
+    model.zero_grad()
+    _, cache = model.forward_with_cache(prep)
+    model.backward(1.0, cache)
+    return {name: p.grad.data.copy() for name, p in model.parameters()}
+
+
+def suite_gradients(cases: int = 32, seed: int = 0) -> SuiteResult:
+    """Every parameter gradient of the fast kernels vs the naive double loop.
+
+    Case c runs use_topology/use_edge/use_value combination c % 8 on graph
+    kind (c // 8) % 4 (random, one-node, edgeless, disconnected) with L =
+    (1, 2, 5)[c % 3]; one-node and edgeless graphs use E = 0. Weights are
+    drawn well away from their small initial values, so every bucket row
+    moves the prediction.
+    """
+    rng = np.random.default_rng(seed)
+    combos = list(itertools.product((True, False), repeat=3))
+    worst = 0.0
+    for case in range(cases):
+        use_t, use_e, use_v = combos[case % 8]
+        g, e_types = _graph_of_kind(rng, GRAPH_KINDS[(case // 8) % 4])
+        cfg = ModelConfig(layers=2, d_z=8, ffn_dim=8, heads=2, L=(1, 2, 5)[case % 3],
+                          num_edge_types=e_types, node_vocab=4, pe_mode="grpe",
+                          use_topology=use_t, use_edge=use_e, use_value=use_v,
+                          seed=int(rng.integers(0, 2 ** 31)))
+        fast = build_model(cfg)
+        naive = build_model(ModelConfig(**{**cfg.__dict__, "fast": False}))
+        for (_, p), (_, q) in zip(fast.parameters(), naive.parameters()):
+            p.value.data += rng.normal(0.0, 0.3, p.value.shape)
+            q.value.data[...] = p.value.data
+        sample = graphs.GraphSample(graph=g, target=0.0)
+        g_fast = _parameter_gradients(fast, fast.prepare(sample))
+        g_naive = _parameter_gradients(naive, naive.prepare(sample))
+        worst = max(worst, max(float(np.abs(g_fast[k] - g_naive[k]).max()) for k in g_fast))
+    return SuiteResult("gradients", cases, worst, EQUIVALENCE_TOL, worst < EQUIVALENCE_TOL)
 
 
 def suite_reduction(cases: int = 50, seed: int = 0) -> SuiteResult:
@@ -171,6 +240,7 @@ def verify_targets(samples) -> SuiteResult:
 SUITES = {
     "equivalence": suite_equivalence,
     "bfs": suite_bfs,
+    "gradients": suite_gradients,
     "reduction": suite_reduction,
     "eigensolver": suite_eigensolver,
 }

@@ -12,11 +12,11 @@ from grpe.attention import (AttentionParams, PEMode, TransformerBlock,
                             mha_forward, score_dot_counter, split_heads)
 from grpe.encodings import init_tables
 from grpe.errors import ConfigError
-from grpe.graph import (GraphSample, attach_virtual_node, bfs_all_pairs,
+from grpe.graph import (Graph, GraphSample, attach_virtual_node, bfs_all_pairs,
                         edge_indices, topology_indices)
 from grpe.model import ModelConfig, build_model
 from grpe.synthetic import random_graph
-from grpe.tensor import Parameter, softmax_lastdim
+from grpe.tensor import Parameter, finite_diff_check, softmax_lastdim
 
 
 def table_cfg(L=3, e=2, d_z=16, heads=2, **kw):
@@ -266,6 +266,28 @@ class TestGraphormerScores:
                             + float(gbias.edge_emb.value.data[e_idx[i, j]]
                                     @ gbias.w.value.data[:, h]))
                     assert abs(got[h, i, j] - want) < 1e-12
+
+    @pytest.mark.parametrize("shared_w", [False, True])
+    def test_bias_gradients_match_finite_differences(self, shared_w):
+        cfg = table_cfg(L=2, e=2, d_z=8, heads=2, layers=2, pe_mode="graphormer",
+                        graphormer_shared_w=shared_w, seed=5)
+        model = build_model(cfg)
+        rng = np.random.default_rng(15)
+        for _, p in model.parameters():  # well away from the small initial values
+            p.value.data += rng.normal(0.0, 0.3, p.value.shape)
+        gbias = model.graphormer
+        assert gbias.w.shape[1] == (1 if shared_w else 2)
+        # a second component, so the UNREACHABLE bucket occurs too
+        g = random_graph(rng, 7, 2, 4, 0.5)
+        g = Graph(node_types=g.node_types + (1, 2), edges=g.edges + ((7, 8, 1),),
+                  num_edge_types=2)
+        prep = model.prepare(GraphSample(graph=g, target=0.0))
+        model.zero_grad()
+        _, cache = model.forward_with_cache(prep)
+        model.backward(1.0, cache)
+        params = [gbias.b, gbias.edge_emb, gbias.w]
+        assert all(np.abs(p.grad.data).max() > 1e-3 for p in params)
+        assert finite_diff_check(lambda: model.forward(prep), params) < 1e-7
 
 
 class TestMultiHeadAttention:

@@ -256,12 +256,24 @@ class TestTrainEval:
         assert code == errors.EXIT_CONFIG
         assert "hidden_dim" in err
 
+    @pytest.mark.parametrize("key,value,expected", [("grad_clip", "big", "float or None"),
+                                                    ("layers", "two", "int")])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value, expected):
+        data = tmp_path / "d.jsonl"
+        main(["generate", "--task", "spd2", "--count", "2", "--out", str(data)])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: value, "epochs": 1}))
+        code, _, err = run(capsys, "train", "--data", str(data),
+                           "--out", str(tmp_path / "x"), "--config", str(bad))
+        assert code == errors.EXIT_CONFIG
+        assert repr(key) in err and f"expected {expected}" in err
+
 
 class TestSelfcheck:
     def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--cases", "10")
         assert code == 0
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
 
     def test_targets_reverification(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -295,6 +307,21 @@ class TestSelfcheck:
         assert code == 0
         assert out.count("suite ") == 1
         assert "reduction" in out
+
+    def test_gradients_suite_fails_on_a_skewed_backward(self, capsys, monkeypatch):
+        from grpe import attention
+        real = attention._grpe_scores_fast_bwd
+
+        def skewed(d_scores, cache):
+            dqh, dkh = real(d_scores, cache)
+            return dqh, dkh * (1.0 + 1e-6)
+
+        code, _, _ = run(capsys, "selfcheck", "--suite", "gradients", "--cases", "8")
+        assert code == 0
+        monkeypatch.setattr(attention, "_grpe_scores_fast_bwd", skewed)
+        code, out, _ = run(capsys, "selfcheck", "--suite", "gradients", "--cases", "8")
+        assert code == errors.EXIT_CHECK
+        assert "suite gradients" in out and "FAIL" in out
 
     def test_injected_fault_nonzero_exit(self, capsys):
         code, out, err = run(capsys, "selfcheck", "--suite", "bfs", "--cases", "3",
@@ -386,6 +413,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "train", "--data", str(bad), "--out", "/tmp/x")
         assert code == errors.EXIT_IO
         assert "line 1" in err
+
+    def test_non_utf8_dataset_io(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "train", "--data", str(bad), "--out", str(tmp_path / "x"))
+        assert code == errors.EXIT_IO
+        assert str(bad) in err and "UTF-8" in err
 
     def test_bad_checkpoint_io(self, tmp_path, capsys):
         ck = tmp_path / "ck.json"

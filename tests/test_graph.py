@@ -1,5 +1,5 @@
-"""Graph model: parsing, virtual node, BFS vs Floyd-Warshall, bucket
-matrices, and permutation equivariance."""
+"""Graph model: parsing, virtual node, BFS vs Floyd-Warshall, the bounded
+distance pass vs both, bucket matrices, and permutation equivariance."""
 
 import json
 from collections import deque
@@ -9,7 +9,7 @@ import pytest
 
 from grpe.errors import GraphParseError
 from grpe.graph import (Graph, GraphSample, UNREACHABLE, attach_virtual_node,
-                        bfs_all_pairs, edge_indices, edge_no_edge, edge_self,
+                        bfs_all_pairs, bounded_distances, edge_indices, edge_no_edge, edge_self,
                         edge_vn, parse_graphs, permute_graph, permute_sample,
                         sample_to_record, topo_far, topo_unreachable, topo_vn,
                         topology_indices, write_graphs)
@@ -85,6 +85,12 @@ class TestParsing:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"nodes":[0],"edges":[],"target":0.0}\nnot json\n')
         with pytest.raises(GraphParseError, match="line 2"):
+            parse_graphs(path)
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"nodes":[0],"edges":[],"target":0.0}\n\xff\xfe\n')
+        with pytest.raises(GraphParseError, match="bad.jsonl: not UTF-8"):
             parse_graphs(path)
 
     def test_both_targets_rejected(self, tmp_path):
@@ -186,6 +192,40 @@ class TestBfs:
                 lhs = d[both & fin]
                 rhs = (d[:, k][:, None] + d[k, :][None, :])[both & fin]
                 assert np.all(lhs <= rhs)
+
+
+class TestBoundedDistances:
+    # path 0-1-2-3 and path 4-5-6
+    two_paths = Graph(node_types=[0] * 7, num_edge_types=1,
+                      edges=[(0, 1, 0), (1, 2, 0), (2, 3, 0), (4, 5, 0), (5, 6, 0)])
+
+    def graphs(self, rng):
+        """Random graphs of 1-20 nodes, plus one-node, edgeless and
+        two-component ones, each with and without the virtual node."""
+        out = [random_graph(rng, int(rng.integers(1, 21)), 2, 4, float(rng.uniform(0.0, 0.5)))
+               for _ in range(60)]
+        out += [Graph(node_types=[0], edges=[], num_edge_types=0),
+                Graph(node_types=[0] * 5, edges=[], num_edge_types=0),
+                self.two_paths]
+        return out + [attach_virtual_node(g) for g in out]
+
+    def test_buckets_equal_bfs_and_floyd_warshall(self):
+        for g in self.graphs(np.random.default_rng(11)):
+            vn = g.has_virtual_node
+            d_bfs, d_fw = bfs_all_pairs(g), floyd_warshall(g)
+            for L in (1, 2, 5):
+                d = bounded_distances(g, L)
+                np.testing.assert_array_equal(
+                    d, np.where(d_bfs == UNREACHABLE, UNREACHABLE, np.minimum(d_bfs, L + 1)))
+                t = topology_indices(d, L, has_virtual_node=vn)
+                np.testing.assert_array_equal(t, topology_indices(d_bfs, L, has_virtual_node=vn))
+                np.testing.assert_array_equal(t, topology_indices(d_fw, L, has_virtual_node=vn))
+
+    def test_far_within_and_unreachable_across_components(self):
+        # L = 1: one hop, FAR inside a path, UNREACHABLE across the two
+        d = bounded_distances(self.two_paths, 1)
+        assert d[0, 1] == 1 and d[0, 3] == 2 and d[4, 6] == 2
+        assert d[3, 4] == UNREACHABLE and d[6, 0] == UNREACHABLE
 
 
 class TestTopologyIndices:

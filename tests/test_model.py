@@ -91,8 +91,9 @@ class TestForward:
     def test_bfs_only_for_modes_that_read_buckets(self, monkeypatch):
         from grpe import graph as graphs
         calls = []
-        real = graphs.bfs_all_pairs
-        monkeypatch.setattr(graphs, "bfs_all_pairs", lambda g: calls.append(1) or real(g))
+        real = graphs.bounded_distances
+        monkeypatch.setattr(graphs, "bounded_distances",
+                            lambda *args: calls.append(1) or real(*args))
         s = GraphSample(graph=random_graph(np.random.default_rng(3), 6, 3, 6, 0.5), target=0.0)
         for mode, reads in (("none", False), ("laplacian", False),
                             ("grpe", True), ("graphormer", True)):

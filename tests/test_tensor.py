@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from grpe.attention import (AttentionParams, PEMode, _scatter_rowwise, mha_backward,
-                            mha_forward)
+from grpe.attention import (AttentionParams, PEMode, _gather_buckets, _scatter_buckets,
+                            mha_backward, mha_forward)
 from grpe.encodings import (DEGREE_CLAMP, embed_nodes, embed_nodes_backward, init_tables,
                             normalized_laplacian)
 from grpe.errors import ConfigError, NumericError, ShapeError
@@ -159,22 +159,26 @@ class TestGatherRows:
             embed_nodes(g, nodes)
 
     def test_scatter_matches_explicit_loop_bitwise(self):
+        # the bucket gather and its adjoint scatter, query side (axis 0) and
+        # key side (axis 1), against per-pair loops; both bit for bit
         rng = np.random.default_rng(4)
         for _ in range(20):
             heads, n, rows = (int(v) for v in rng.integers(1, 7, size=3))
             idx = rng.integers(0, rows, size=(n, n))
             values = rng.normal(size=(heads, n, n))
+            table = rng.normal(size=(heads, n, rows))
             for axis in (0, 1):
-                axis_index = np.broadcast_to(np.arange(n)[:, None] if axis == 0
-                                             else np.arange(n)[None, :], (n, n))
-                got = np.zeros((heads, n, rows))
-                _scatter_rowwise(got, idx, values, axis_index)
+                got = _scatter_buckets(values, idx, rows, by_key=axis == 1)
                 want = np.zeros((heads, n, rows))
+                gathered = np.zeros((heads, n, n))
                 for h in range(heads):
                     for i in range(n):
                         for j in range(n):
                             want[h, (i, j)[axis], idx[i, j]] += values[h, i, j]
+                            gathered[h, i, j] = table[h, (i, j)[axis], idx[i, j]]
                 np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(_gather_buckets(table, idx, by_key=axis == 1),
+                                              gathered)
 
     def test_forward_matches_explicit_loop(self):
         rng = np.random.default_rng(5)
