@@ -14,6 +14,16 @@ All kernels are batched over heads: matrices are split to (H, N, d_h) and
 encoding tables to (H, R, d_h) column blocks, mirroring how q/k/v are
 sliced. Every forward has a matching backward that accumulates into the
 shared ``Parameter`` gradients; there is no tape.
+
+A group of graphs runs as one pass. Node features are then (B, N, d),
+with every graph padded to the group's largest node count N; per-head
+arrays are (H, B, N, .) and bucket matrices (B, N, N). Padded pairs hold
+bucket 0, and ``key_bias`` adds -inf to the scores of padded keys, so no
+real node attends to padding. Padded rows still compute finite values,
+but every gradient reaching them is an exact zero: the readout reads no
+padded row and a padded key has zero attention weight, so padding adds
+only zeros to every parameter gradient. Without the group axis (a single
+graph) every kernel takes the same arrays minus that axis.
 """
 
 from __future__ import annotations
@@ -94,16 +104,26 @@ class AttentionTrace:
         return self.attn.mean(axis=0)
 
 
+# Axis orders that move the head axis to the front and back, by the rank
+# of the split array: (rows, H, d_h) for one graph, (B, rows, H, d_h) for a group.
+_HEADS_FIRST = {3: (1, 0, 2), 4: (2, 0, 1, 3)}
+_HEADS_BACK = {3: (1, 0, 2), 4: (1, 2, 0, 3)}
+
+
 def split_heads(m: np.ndarray, heads: int) -> np.ndarray:
-    """(rows, d_z) -> (H, rows, d_z / H), contiguous per head."""
-    rows, d_z = m.shape
-    return np.ascontiguousarray(m.reshape(rows, heads, d_z // heads).transpose(1, 0, 2))
+    """([B,] rows, d_z) -> (H, [B,] rows, d_z / H), contiguous per head."""
+    split = m.reshape(m.shape[:-1] + (heads, m.shape[-1] // heads))
+    return np.ascontiguousarray(split.transpose(_HEADS_FIRST[split.ndim]))
 
 
-def merge_heads(m3: np.ndarray) -> np.ndarray:
-    """(H, rows, d_h) -> (rows, H * d_h); inverse of split_heads."""
-    h, rows, dh = m3.shape
-    return np.ascontiguousarray(m3.transpose(1, 0, 2).reshape(rows, h * dh))
+def merge_heads(m: np.ndarray) -> np.ndarray:
+    """(H, [B,] rows, d_h) -> ([B,] rows, H * d_h); inverse of split_heads."""
+    return m.transpose(_HEADS_BACK[m.ndim]).reshape(m.shape[1:-1] + (-1,))
+
+
+def _rows(m: np.ndarray) -> np.ndarray:
+    """(H, ..., N, k) -> (H, rows, k): every graph's nodes as one row block."""
+    return m.reshape(m.shape[0], -1, m.shape[-1])
 
 
 def _fold_table_grad(param: Parameter, d_split: np.ndarray):
@@ -113,47 +133,50 @@ def _fold_table_grad(param: Parameter, d_split: np.ndarray):
 # ---------------------------------------------------------------------------
 # bucket gathers and scatters over flat positions
 #
-# A per-node bucket table (H, N, R) is read per pair (i, j) at node i (the
-# query side) or node j (the key side) and bucket idx[i, j]. Flattening the
-# table to (H, N * R) turns that into one 1-D position per pair, so a gather
-# is one ``np.take`` and its adjoint scatter one ``np.bincount`` per head.
+# A per-node bucket table (H, [B,] N, R) is read per pair (i, j) at node i
+# (the query side) or node j (the key side) and bucket idx[i, j]. Flattening
+# each head's table to one row turns that into one 1-D position per pair, so
+# a gather is one ``np.take`` and its adjoint scatter one ``np.bincount``.
 # Positions are rebuilt per call rather than cached: they cost about as much
 # memory as the bucket matrix itself, for every layer whose cache is alive.
 # ---------------------------------------------------------------------------
 
 def _bucket_positions(idx: np.ndarray, buckets: int, by_key: bool) -> np.ndarray:
-    """Raveled ``node * buckets + idx[i, j]``, node i (query) or j (key)."""
-    n = idx.shape[0]
-    node = np.arange(n)[None, :] if by_key else np.arange(n)[:, None]
-    return (node * buckets + idx).ravel()
+    """Raveled ``node * buckets + idx[.., i, j]`` over ([B,] N, N), where
+    node counts through the group: ``b * N + i`` (query) or ``b * N + j`` (key)."""
+    n = idx.shape[-1]
+    node = np.arange(0, idx.size // n * buckets, buckets)
+    return (node.reshape((-1, 1, n) if by_key else (-1, n, 1)) + idx).ravel()
 
 
 def _gather_buckets(table: np.ndarray, idx: np.ndarray, by_key: bool = False) -> np.ndarray:
-    """(H, N, R) per-node bucket table -> (H, N, N) values
+    """(H, [B,] N, R) per-node bucket table -> (H, [B,] N, N) values
     ``table[h, i, idx[i, j]]``, or ``table[h, j, idx[i, j]]`` when ``by_key``."""
-    heads, n, buckets = table.shape
-    pos = _bucket_positions(idx, buckets, by_key)
-    return np.take(table.reshape(heads, -1), pos, axis=1).reshape(heads, n, n)
+    heads = table.shape[0]
+    pos = _bucket_positions(idx, table.shape[-1], by_key)
+    return table.reshape(heads, -1).take(pos, axis=1).reshape((heads,) + idx.shape)
 
 
 def _bucket_sums(pairs: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
-    """(H, N, N) pair values -> (H, size) sums per flat position ``pos``.
+    """(H, ...) pair values -> (H, size) sums per flat position ``pos``.
 
-    ``np.bincount`` adds each bin's terms in pair order, starting from zero,
-    so the sums equal a sequential ``np.add.at`` into zeros bit for bit.
+    One ``np.bincount`` serves every head: head h's positions are offset
+    by ``h * size``. It adds each bin's terms in pair order, starting from
+    zero, so the sums equal a sequential ``np.add.at`` into zeros bit for bit.
     """
-    out = np.empty((pairs.shape[0], size))
-    for h, p in enumerate(pairs):
-        out[h] = np.bincount(pos, weights=p.ravel(), minlength=size)
-    return out
+    heads = pairs.shape[0]
+    flat = (np.arange(0, heads * size, size)[:, None] + pos).ravel()
+    return np.bincount(flat, weights=pairs.ravel(),
+                       minlength=heads * size).reshape(heads, size)
 
 
 def _scatter_buckets(pairs: np.ndarray, idx: np.ndarray, buckets: int,
                      by_key: bool = False) -> np.ndarray:
-    """Adjoint of ``_gather_buckets``: (H, N, N) -> (H, N, R) bucket sums."""
-    heads, n, _ = pairs.shape
+    """Adjoint of ``_gather_buckets``: (H, [B,] N, N) -> (H, [B,] N, R) bucket sums."""
+    heads = pairs.shape[0]
     pos = _bucket_positions(idx, buckets, by_key)
-    return _bucket_sums(pairs, pos, n * buckets).reshape(heads, n, buckets)
+    sums = _bucket_sums(pairs, pos, idx.size // idx.shape[-1] * buckets)
+    return sums.reshape(heads, *idx.shape[:-1], buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +184,9 @@ def _scatter_buckets(pairs: np.ndarray, idx: np.ndarray, buckets: int,
 # ---------------------------------------------------------------------------
 
 def _plain_scores_fwd(qh, kh, want_parts):
-    dh = qh.shape[2]
+    dh = qh.shape[-1]
     scale = 1.0 / math.sqrt(dh)
-    dot = qh @ kh.transpose(0, 2, 1)
+    dot = qh @ kh.swapaxes(-1, -2)
     cache = {"kind": "none", "qh": qh, "kh": kh, "scale": scale}
     parts = (dot, None, None) if want_parts else None
     return dot * scale, parts, cache
@@ -172,36 +195,53 @@ def _plain_scores_fwd(qh, kh, want_parts):
 def _plain_scores_bwd(d_scores, cache):
     g = d_scores * cache["scale"]
     dqh = g @ cache["kh"]
-    dkh = g.transpose(0, 2, 1) @ cache["qh"]
+    dkh = g.swapaxes(-1, -2) @ cache["qh"]
     return dqh, dkh
 
 
+def _as_group(m: np.ndarray, heads_first: bool) -> np.ndarray:
+    """A view with an explicit group axis: (H, B, N, .) or (B, N, N)."""
+    if heads_first:
+        return m.reshape(m.shape[0], -1, *m.shape[-2:])
+    return m.reshape(-1, *m.shape[-2:])
+
+
 def _grpe_scores_naive_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts):
-    heads, n, dh = qh.shape
+    heads, dh = qh.shape[0], qh.shape[-1]
     scale = 1.0 / math.sqrt(dh)
     pq = split_heads(topology.query.value.data, heads) if mode.use_topology else None
     pk = split_heads(topology.key.value.data, heads) if mode.use_topology else None
     eq = split_heads(edge.query.value.data, heads) if mode.use_edge else None
     ek = split_heads(edge.key.value.data, heads) if mode.use_edge else None
 
-    dot = np.zeros((heads, n, n))
-    topo_term = np.zeros((heads, n, n)) if mode.use_topology else None
-    edge_term = np.zeros((heads, n, n)) if mode.use_edge else None
-    for h in range(heads):
-        q, k = qh[h], kh[h]
-        for i in range(n):
-            for j in range(n):
-                dot[h, i, j] = np.dot(q[i], k[j])
-                if mode.use_topology:
-                    t = t_idx[i, j]
-                    topo_term[h, i, j] = np.dot(q[i], pq[h][t]) + np.dot(k[j], pk[h][t])
-                if mode.use_edge:
-                    e = e_idx[i, j]
-                    edge_term[h, i, j] = np.dot(q[i], eq[h][e]) + np.dot(k[j], ek[h][e])
+    shape = qh.shape[:-1] + qh.shape[-2:-1]
+    dot = np.zeros(shape)
+    topo_term = np.zeros(shape) if mode.use_topology else None
+    edge_term = np.zeros(shape) if mode.use_edge else None
+    q4, k4 = _as_group(qh, True), _as_group(kh, True)
+    dot4 = _as_group(dot, True)
+    topo4 = _as_group(topo_term, True) if mode.use_topology else None
+    edge4 = _as_group(edge_term, True) if mode.use_edge else None
+    for b in range(q4.shape[1]):
+        t_b = _as_group(t_idx, False)[b] if mode.use_topology else None
+        e_b = _as_group(e_idx, False)[b] if mode.use_edge else None
+        n = q4.shape[2]
+        for h in range(heads):
+            q, k = q4[h, b], k4[h, b]
+            for i in range(n):
+                for j in range(n):
+                    dot4[h, b, i, j] = np.dot(q[i], k[j])
+                    if mode.use_topology:
+                        t = t_b[i, j]
+                        topo4[h, b, i, j] = np.dot(q[i], pq[h][t]) + np.dot(k[j], pk[h][t])
+                    if mode.use_edge:
+                        e = e_b[i, j]
+                        edge4[h, b, i, j] = np.dot(q[i], eq[h][e]) + np.dot(k[j], ek[h][e])
+    pairs = dot.size // heads
     if mode.use_topology:
-        score_dot_counter.add(2 * heads * n * n)
+        score_dot_counter.add(2 * heads * pairs)
     if mode.use_edge:
-        score_dot_counter.add(2 * heads * n * n)
+        score_dot_counter.add(2 * heads * pairs)
 
     scores = dot.copy()
     if topo_term is not None:
@@ -218,36 +258,43 @@ def _grpe_scores_naive_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_part
 
 def _grpe_scores_naive_bwd(d_scores, cache):
     qh, kh = cache["qh"], cache["kh"]
-    t_idx, e_idx, mode = cache["t_idx"], cache["e_idx"], cache["mode"]
+    mode = cache["mode"]
     pq, pk, eq, ek = cache["pq"], cache["pk"], cache["eq"], cache["ek"]
-    heads, n, _ = qh.shape
+    heads = qh.shape[0]
     dqh = np.zeros_like(qh)
     dkh = np.zeros_like(kh)
     dpq = np.zeros_like(pq) if mode.use_topology else None
     dpk = np.zeros_like(pk) if mode.use_topology else None
     deq = np.zeros_like(eq) if mode.use_edge else None
     dek = np.zeros_like(ek) if mode.use_edge else None
-    for h in range(heads):
-        q, k = qh[h], kh[h]
-        for i in range(n):
-            for j in range(n):
-                g = d_scores[h, i, j] * cache["scale"]
-                if g == 0.0:
-                    continue
-                dqh[h, i] += g * k[j]
-                dkh[h, j] += g * q[i]
-                if mode.use_topology:
-                    t = t_idx[i, j]
-                    dqh[h, i] += g * pq[h][t]
-                    dkh[h, j] += g * pk[h][t]
-                    dpq[h][t] += g * q[i]
-                    dpk[h][t] += g * k[j]
-                if mode.use_edge:
-                    e = e_idx[i, j]
-                    dqh[h, i] += g * eq[h][e]
-                    dkh[h, j] += g * ek[h][e]
-                    deq[h][e] += g * q[i]
-                    dek[h][e] += g * k[j]
+    q4, k4 = _as_group(qh, True), _as_group(kh, True)
+    dq4, dk4 = _as_group(dqh, True), _as_group(dkh, True)
+    ds4 = _as_group(d_scores, True)
+    for b in range(q4.shape[1]):
+        t_b = _as_group(cache["t_idx"], False)[b] if mode.use_topology else None
+        e_b = _as_group(cache["e_idx"], False)[b] if mode.use_edge else None
+        n = q4.shape[2]
+        for h in range(heads):
+            q, k = q4[h, b], k4[h, b]
+            for i in range(n):
+                for j in range(n):
+                    g = ds4[h, b, i, j] * cache["scale"]
+                    if g == 0.0:
+                        continue
+                    dq4[h, b, i] += g * k[j]
+                    dk4[h, b, j] += g * q[i]
+                    if mode.use_topology:
+                        t = t_b[i, j]
+                        dq4[h, b, i] += g * pq[h][t]
+                        dk4[h, b, j] += g * pk[h][t]
+                        dpq[h][t] += g * q[i]
+                        dpk[h][t] += g * k[j]
+                    if mode.use_edge:
+                        e = e_b[i, j]
+                        dq4[h, b, i] += g * eq[h][e]
+                        dk4[h, b, j] += g * ek[h][e]
+                        deq[h][e] += g * q[i]
+                        dek[h][e] += g * k[j]
     if mode.use_topology:
         _fold_table_grad(cache["topology"].query, dpq)
         _fold_table_grad(cache["topology"].key, dpk)
@@ -258,10 +305,11 @@ def _grpe_scores_naive_bwd(d_scores, cache):
 
 
 def _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts):
-    heads, n, dh = qh.shape
+    heads, dh = qh.shape[0], qh.shape[-1]
     scale = 1.0 / math.sqrt(dh)
+    q_rows, k_rows = _rows(qh), _rows(kh)
 
-    dot = qh @ kh.transpose(0, 2, 1)
+    dot = qh @ kh.swapaxes(-1, -2)
     scores = dot.copy()
     cache = {"kind": "grpe_fast", "qh": qh, "kh": kh, "t_idx": t_idx, "e_idx": e_idx,
              "topology": topology, "edge": edge, "mode": mode, "scale": scale}
@@ -269,18 +317,18 @@ def _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts
     if mode.use_topology:
         pq = split_heads(topology.query.value.data, heads)
         pk = split_heads(topology.key.value.data, heads)
-        a_q = qh @ pq.transpose(0, 2, 1)   # (H, N, L + 4): q_i . P_b for all buckets
-        a_k = kh @ pk.transpose(0, 2, 1)
-        score_dot_counter.add(2 * heads * n * pq.shape[1])
+        a_q = q_rows @ pq.transpose(0, 2, 1)   # (H, rows, L + 4): q_i . P_b for all buckets
+        a_k = k_rows @ pk.transpose(0, 2, 1)
+        score_dot_counter.add(2 * a_q.size)
         topo_term = _gather_buckets(a_q, t_idx) + _gather_buckets(a_k, t_idx, by_key=True)
         scores += topo_term
         cache.update(pq=pq, pk=pk)
     if mode.use_edge:
         eq = split_heads(edge.query.value.data, heads)
         ek = split_heads(edge.key.value.data, heads)
-        b_q = qh @ eq.transpose(0, 2, 1)   # (H, N, E + 3)
-        b_k = kh @ ek.transpose(0, 2, 1)
-        score_dot_counter.add(2 * heads * n * eq.shape[1])
+        b_q = q_rows @ eq.transpose(0, 2, 1)   # (H, rows, E + 3)
+        b_k = k_rows @ ek.transpose(0, 2, 1)
+        score_dot_counter.add(2 * b_q.size)
         edge_term = _gather_buckets(b_q, e_idx) + _gather_buckets(b_k, e_idx, by_key=True)
         scores += edge_term
         cache.update(eq=eq, ek=ek)
@@ -294,36 +342,38 @@ def _grpe_scores_fast_bwd(d_scores, cache):
     t_idx, e_idx, mode = cache["t_idx"], cache["e_idx"], cache["mode"]
     g = d_scores * cache["scale"]
     dqh = g @ kh
-    dkh = g.transpose(0, 2, 1) @ qh
+    dkh = g.swapaxes(-1, -2) @ qh
+    q_rows, k_rows = _rows(qh), _rows(kh)
+    dq_rows, dk_rows = _rows(dqh), _rows(dkh)   # views: += writes into dqh, dkh
     if mode.use_topology:
         pq, pk = cache["pq"], cache["pk"]
-        da_q = _scatter_buckets(g, t_idx, pq.shape[1])
-        da_k = _scatter_buckets(g, t_idx, pk.shape[1], by_key=True)
-        dqh += da_q @ pq
-        dkh += da_k @ pk
-        _fold_table_grad(cache["topology"].query, da_q.transpose(0, 2, 1) @ qh)
-        _fold_table_grad(cache["topology"].key, da_k.transpose(0, 2, 1) @ kh)
+        da_q = _rows(_scatter_buckets(g, t_idx, pq.shape[1]))
+        da_k = _rows(_scatter_buckets(g, t_idx, pk.shape[1], by_key=True))
+        dq_rows += da_q @ pq
+        dk_rows += da_k @ pk
+        _fold_table_grad(cache["topology"].query, da_q.transpose(0, 2, 1) @ q_rows)
+        _fold_table_grad(cache["topology"].key, da_k.transpose(0, 2, 1) @ k_rows)
     if mode.use_edge:
         eq, ek = cache["eq"], cache["ek"]
-        db_q = _scatter_buckets(g, e_idx, eq.shape[1])
-        db_k = _scatter_buckets(g, e_idx, ek.shape[1], by_key=True)
-        dqh += db_q @ eq
-        dkh += db_k @ ek
-        _fold_table_grad(cache["edge"].query, db_q.transpose(0, 2, 1) @ qh)
-        _fold_table_grad(cache["edge"].key, db_k.transpose(0, 2, 1) @ kh)
+        db_q = _rows(_scatter_buckets(g, e_idx, eq.shape[1]))
+        db_k = _rows(_scatter_buckets(g, e_idx, ek.shape[1], by_key=True))
+        dq_rows += db_q @ eq
+        dk_rows += db_k @ ek
+        _fold_table_grad(cache["edge"].query, db_q.transpose(0, 2, 1) @ q_rows)
+        _fold_table_grad(cache["edge"].key, db_k.transpose(0, 2, 1) @ k_rows)
     return dqh, dkh
 
 
 def _graphormer_scores_fwd(qh, kh, t_idx, e_idx, gbias, want_parts):
-    heads, n, dh = qh.shape
+    heads, dh = qh.shape[0], qh.shape[-1]
     scale = 1.0 / math.sqrt(dh)
-    dot = qh @ kh.transpose(0, 2, 1)
+    dot = qh @ kh.swapaxes(-1, -2)
     b = gbias.b.value.data
-    topo_term = b[t_idx].transpose(2, 0, 1)              # (H, N, N)
-    ew = gbias.edge_emb.value.data @ gbias.w.value.data  # (E + 3, H or 1)
-    edge_term = ew[e_idx].transpose(2, 0, 1)
+    topo_term = b.T.take(t_idx, axis=1)                   # (H, [B,] N, N)
+    ew = gbias.edge_emb.value.data @ gbias.w.value.data   # (E + 3, H or 1)
+    edge_term = ew.T.take(e_idx, axis=1)
     if gbias.shared_w:
-        edge_term = np.broadcast_to(edge_term, (heads, n, n))
+        edge_term = np.broadcast_to(edge_term, (heads,) + e_idx.shape)
     # Only the dot term is scaled; the biases are added as-is.
     scores = dot * scale + topo_term + edge_term
     cache = {"kind": "graphormer", "qh": qh, "kh": kh, "t_idx": t_idx,
@@ -337,7 +387,7 @@ def _graphormer_scores_bwd(d_scores, cache):
     t_idx, e_idx, gbias = cache["t_idx"], cache["e_idx"], cache["gbias"]
     g = d_scores * cache["scale"]
     dqh = g @ kh
-    dkh = g.transpose(0, 2, 1) @ qh
+    dkh = g.swapaxes(-1, -2) @ qh
     gbias.b.grad.data += _bucket_sums(d_scores, t_idx.ravel(), gbias.b.shape[0]).T
     w = gbias.w.value.data
     d_bias = d_scores.sum(axis=0, keepdims=True) if gbias.shared_w else d_scores
@@ -380,8 +430,8 @@ def _values_plain_fwd(attn, vh):
 
 
 def _values_plain_bwd(d_zh, cache):
-    d_attn = d_zh @ cache["vh"].transpose(0, 2, 1)
-    d_vh = cache["attn"].transpose(0, 2, 1) @ d_zh
+    d_attn = d_zh @ cache["vh"].swapaxes(-1, -2)
+    d_vh = cache["attn"].swapaxes(-1, -2) @ d_zh
     return d_attn, d_vh
 
 
@@ -390,11 +440,12 @@ def _grpe_values_fast_fwd(attn, vh, t_idx, e_idx, topology, edge):
     pv = split_heads(topology.value.value.data, heads)
     ev = split_heads(edge.value.value.data, heads)
     # Bucket masses: total attention each query spends on every bucket.
-    mass_t = _scatter_buckets(attn, t_idx, pv.shape[1])
-    mass_e = _scatter_buckets(attn, e_idx, ev.shape[1])
+    mass_t = _rows(_scatter_buckets(attn, t_idx, pv.shape[1]))
+    mass_e = _rows(_scatter_buckets(attn, e_idx, ev.shape[1]))
     zh = attn @ vh
-    zh += mass_t @ pv
-    zh += mass_e @ ev
+    z_rows = _rows(zh)
+    z_rows += mass_t @ pv
+    z_rows += mass_e @ ev
     cache = {"kind": "grpe_fast", "attn": attn, "vh": vh, "t_idx": t_idx, "e_idx": e_idx,
              "topology": topology, "edge": edge, "pv": pv, "ev": ev,
              "mass_t": mass_t, "mass_e": mass_e}
@@ -404,28 +455,31 @@ def _grpe_values_fast_fwd(attn, vh, t_idx, e_idx, topology, edge):
 def _grpe_values_fast_bwd(d_zh, cache):
     attn, vh = cache["attn"], cache["vh"]
     pv, ev = cache["pv"], cache["ev"]
-    d_attn = d_zh @ vh.transpose(0, 2, 1)
-    d_vh = attn.transpose(0, 2, 1) @ d_zh
-    d_mass_t = d_zh @ pv.transpose(0, 2, 1)
-    d_mass_e = d_zh @ ev.transpose(0, 2, 1)
-    d_attn += _gather_buckets(d_mass_t, cache["t_idx"])
-    d_attn += _gather_buckets(d_mass_e, cache["e_idx"])
-    _fold_table_grad(cache["topology"].value, cache["mass_t"].transpose(0, 2, 1) @ d_zh)
-    _fold_table_grad(cache["edge"].value, cache["mass_e"].transpose(0, 2, 1) @ d_zh)
+    d_attn = d_zh @ vh.swapaxes(-1, -2)
+    d_vh = attn.swapaxes(-1, -2) @ d_zh
+    dz_rows = _rows(d_zh)
+    d_attn += _gather_buckets(dz_rows @ pv.transpose(0, 2, 1), cache["t_idx"])
+    d_attn += _gather_buckets(dz_rows @ ev.transpose(0, 2, 1), cache["e_idx"])
+    _fold_table_grad(cache["topology"].value, cache["mass_t"].transpose(0, 2, 1) @ dz_rows)
+    _fold_table_grad(cache["edge"].value, cache["mass_e"].transpose(0, 2, 1) @ dz_rows)
     return d_attn, d_vh
 
 
 def _grpe_values_naive_fwd(attn, vh, t_idx, e_idx, topology, edge):
-    heads, n, _ = attn.shape
+    heads = attn.shape[0]
     pv = split_heads(topology.value.value.data, heads)
     ev = split_heads(edge.value.value.data, heads)
     zh = np.zeros_like(vh)
-    for h in range(heads):
-        for i in range(n):
-            acc = np.zeros(vh.shape[2])
-            for j in range(n):
-                acc += attn[h, i, j] * (vh[h, j] + pv[h][t_idx[i, j]] + ev[h][e_idx[i, j]])
-            zh[h, i] = acc
+    a4, v4, z4 = _as_group(attn, True), _as_group(vh, True), _as_group(zh, True)
+    for b in range(a4.shape[1]):
+        t_b, e_b = _as_group(t_idx, False)[b], _as_group(e_idx, False)[b]
+        n = a4.shape[2]
+        for h in range(heads):
+            for i in range(n):
+                acc = np.zeros(v4.shape[3])
+                for j in range(n):
+                    acc += a4[h, b, i, j] * (v4[h, b, j] + pv[h][t_b[i, j]] + ev[h][e_b[i, j]])
+                z4[h, b, i] = acc
     cache = {"kind": "grpe_naive", "attn": attn, "vh": vh, "t_idx": t_idx, "e_idx": e_idx,
              "topology": topology, "edge": edge, "pv": pv, "ev": ev}
     return zh, cache
@@ -433,23 +487,28 @@ def _grpe_values_naive_fwd(attn, vh, t_idx, e_idx, topology, edge):
 
 def _grpe_values_naive_bwd(d_zh, cache):
     attn, vh = cache["attn"], cache["vh"]
-    t_idx, e_idx = cache["t_idx"], cache["e_idx"]
     pv, ev = cache["pv"], cache["ev"]
-    heads, n, _ = attn.shape
+    heads = attn.shape[0]
     d_attn = np.zeros_like(attn)
     d_vh = np.zeros_like(vh)
     dpv = np.zeros_like(pv)
     dev = np.zeros_like(ev)
-    for h in range(heads):
-        for i in range(n):
-            g = d_zh[h, i]
-            for j in range(n):
-                t, e = t_idx[i, j], e_idx[i, j]
-                d_attn[h, i, j] = np.dot(g, vh[h, j] + pv[h][t] + ev[h][e])
-                a = attn[h, i, j]
-                d_vh[h, j] += a * g
-                dpv[h][t] += a * g
-                dev[h][e] += a * g
+    a4, v4, g4 = _as_group(attn, True), _as_group(vh, True), _as_group(d_zh, True)
+    da4, dv4 = _as_group(d_attn, True), _as_group(d_vh, True)
+    for b in range(a4.shape[1]):
+        t_b = _as_group(cache["t_idx"], False)[b]
+        e_b = _as_group(cache["e_idx"], False)[b]
+        n = a4.shape[2]
+        for h in range(heads):
+            for i in range(n):
+                g = g4[h, b, i]
+                for j in range(n):
+                    t, e = t_b[i, j], e_b[i, j]
+                    da4[h, b, i, j] = np.dot(g, v4[h, b, j] + pv[h][t] + ev[h][e])
+                    a = a4[h, b, i, j]
+                    dv4[h, b, j] += a * g
+                    dpv[h][t] += a * g
+                    dev[h][e] += a * g
     _fold_table_grad(cache["topology"].value, dpv)
     _fold_table_grad(cache["edge"].value, dev)
     return d_attn, d_vh
@@ -511,27 +570,33 @@ def grpe_values(attn, v, topo_idx, edge_idx, topology, edge, heads: int = 1,
 # ---------------------------------------------------------------------------
 
 def mha_forward(x: np.ndarray, params: AttentionParams, mode: PEMode,
-                topo_idx, edge_idx, topology, edge, gbias, want_trace: bool = False):
-    if x.ndim != 2 or x.shape[1] != params.w_query.shape[0]:
+                topo_idx, edge_idx, topology, edge, gbias, want_trace: bool = False,
+                key_bias=None):
+    """Attention over (N, d_x) node features, or a padded (B, N, d_x) group
+    whose ``key_bias`` (B, 1, N) is -inf on padded keys and 0 elsewhere."""
+    if x.ndim not in (2, 3) or x.shape[-1] != params.w_query.shape[0]:
         raise ShapeError(f"attention input {x.shape} does not match W ({params.w_query.shape})")
-    q = x @ params.w_query.value.data
-    k = x @ params.w_key.value.data
-    v = x @ params.w_value.value.data
     h = params.heads
-    qh, kh, vh = split_heads(q, h), split_heads(k, h), split_heads(v, h)
+    x_rows = x.reshape(-1, x.shape[-1])
+    shape = x.shape[:-1] + (-1,)
+    qh = split_heads((x_rows @ params.w_query.value.data).reshape(shape), h)
+    kh = split_heads((x_rows @ params.w_key.value.data).reshape(shape), h)
+    vh = split_heads((x_rows @ params.w_value.value.data).reshape(shape), h)
 
     scores, parts, s_cache = _scores_fwd(mode, qh, kh, topo_idx, edge_idx,
                                          topology, edge, gbias, want_trace)
+    if key_bias is not None:
+        scores += key_bias
     attn = softmax_lastdim(scores)
     zh, v_cache = _values_fwd(mode, attn, vh, topo_idx, edge_idx, topology, edge)
-    z = merge_heads(zh)
-    out = z @ params.w_out.value.data
+    z = merge_heads(zh).reshape(len(x_rows), -1)
+    out = (z @ params.w_out.value.data).reshape(shape)
 
     trace = None
     if want_trace:
         dot, topo_term, edge_term = parts
         trace = AttentionTrace(attn=attn, dot=dot, topology=topo_term, edge=edge_term)
-    cache = {"x": x, "params": params, "attn": attn, "z": z,
+    cache = {"x": x_rows, "params": params, "attn": attn, "z": z,
              "s_cache": s_cache, "v_cache": v_cache}
     return out, trace, cache
 
@@ -541,22 +606,23 @@ def mha_backward(d_out: np.ndarray, cache) -> np.ndarray:
     x, z, attn = cache["x"], cache["z"], cache["attn"]
     h = params.heads
 
-    params.w_out.grad.data += z.T @ d_out
-    d_z = d_out @ params.w_out.value.data.T
-    d_zh = split_heads(d_z, h)
+    d_rows = d_out.reshape(z.shape[0], -1)
+    params.w_out.grad.data += z.T @ d_rows
+    d_z = d_rows @ params.w_out.value.data.T
+    d_zh = split_heads(d_z.reshape(attn.shape[1:-1] + (-1,)), h)
 
     d_attn, d_vh = _values_bwd(d_zh, cache["v_cache"])
     d_scores = softmax_lastdim_backward(d_attn, attn)
     d_qh, d_kh = _scores_bwd(d_scores, cache["s_cache"])
 
-    d_q, d_k, d_v = merge_heads(d_qh), merge_heads(d_kh), merge_heads(d_vh)
+    d_q, d_k, d_v = (merge_heads(d).reshape(z.shape) for d in (d_qh, d_kh, d_vh))
     params.w_query.grad.data += x.T @ d_q
     params.w_key.grad.data += x.T @ d_k
     params.w_value.grad.data += x.T @ d_v
     d_x = d_q @ params.w_query.value.data.T
     d_x += d_k @ params.w_key.value.data.T
     d_x += d_v @ params.w_value.value.data.T
-    return d_x
+    return d_x.reshape(d_out.shape[:-1] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -591,29 +657,31 @@ class TransformerBlock:
         self.graphormer = graphormer
 
     def forward(self, x: np.ndarray, mode: PEMode, topo_idx, edge_idx,
-                want_trace: bool = False, dropout: float = 0.0, rng=None):
+                want_trace: bool = False, key_bias=None, drop=None):
+        """``x`` is (N, d) or a padded (B, N, d) group (see ``mha_forward``).
+        ``drop`` is None or the (attention, FFN) dropout masks, each shaped
+        like ``x`` and already scaled by 1 / (1 - rate)."""
         p = self.params
         u = layer_norm_rows(x, p.ln1_gain.value.data, p.ln1_bias.value.data)
         a, trace, mha_cache = mha_forward(u, p.attn, mode, topo_idx, edge_idx,
                                           self.topology, self.edge, self.graphormer,
-                                          want_trace=want_trace)
-        mask_a = None
-        if dropout > 0.0:
-            mask_a = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
+                                          want_trace=want_trace, key_bias=key_bias)
+        mask_a = mask_f = None
+        if drop is not None:
+            mask_a, mask_f = drop
             a = a * mask_a
         h = x + a
 
         w = layer_norm_rows(h, p.ln2_gain.value.data, p.ln2_bias.value.data)
-        pre = w @ p.ffn_w1.value.data + p.ffn_b1.value.data
+        w_rows = w.reshape(-1, w.shape[-1])
+        pre = w_rows @ p.ffn_w1.value.data + p.ffn_b1.value.data
         act = np.maximum(pre, 0.0)
-        f = act @ p.ffn_w2.value.data + p.ffn_b2.value.data
-        mask_f = None
-        if dropout > 0.0:
-            mask_f = (rng.random(f.shape) >= dropout) / (1.0 - dropout)
+        f = (act @ p.ffn_w2.value.data + p.ffn_b2.value.data).reshape(x.shape)
+        if mask_f is not None:
             f = f * mask_f
         out = h + f
 
-        cache = {"x": x, "u": u, "h": h, "w": w, "pre": pre, "act": act,
+        cache = {"x": x, "u": u, "h": h, "w": w_rows, "pre": pre, "act": act,
                  "mha_cache": mha_cache, "mask_a": mask_a, "mask_f": mask_f}
         return out, trace, cache
 
@@ -622,13 +690,14 @@ class TransformerBlock:
         d_f = d_out
         if cache["mask_f"] is not None:
             d_f = d_f * cache["mask_f"]
+        d_f = d_f.reshape(-1, d_f.shape[-1])
         p.ffn_b2.grad.data += d_f.sum(axis=0)
         p.ffn_w2.grad.data += cache["act"].T @ d_f
         d_act = d_f @ p.ffn_w2.value.data.T
         d_pre = d_act * (cache["pre"] > 0.0)
         p.ffn_b1.grad.data += d_pre.sum(axis=0)
         p.ffn_w1.grad.data += cache["w"].T @ d_pre
-        d_w = d_pre @ p.ffn_w1.value.data.T
+        d_w = (d_pre @ p.ffn_w1.value.data.T).reshape(d_out.shape)
         d_h_ln, d_g2, d_b2 = layer_norm_rows_backward(d_w, cache["h"], p.ln2_gain.value.data)
         p.ln2_gain.grad.data += d_g2
         p.ln2_bias.grad.data += d_b2

@@ -127,10 +127,8 @@ def _infer_task(samples) -> str:
 
 
 def _model_config_from_args(args, task: str, num_edge_types: int) -> ModelConfig:
-    defaults = dict(PRESETS["tiny"])
-    defaults.update(L=5, pe_mode="grpe", fast=True, num_edge_types=num_edge_types,
-                    node_vocab=32, seed=0, task=task, use_degree=False,
-                    num_classes=NUM_DEGREE_CLASSES, dropout=0.0)
+    defaults = asdict(ModelConfig(**PRESETS["tiny"]))  # every field may come from the file
+    defaults.update(num_edge_types=num_edge_types, task=task, num_classes=NUM_DEGREE_CLASSES)
     file_cfg = _load_config_file(args.config)
     known_model = set(ModelConfig.__dataclass_fields__)
     file_model = {k: v for k, v in file_cfg.items() if k in known_model}
@@ -154,11 +152,11 @@ def _model_config_from_args(args, task: str, num_edge_types: int) -> ModelConfig
     }.items() if v is not None})
     if getattr(args, "naive", False):
         flags["fast"] = False
-    if args.pe == "graphormer" and getattr(args, "use_degree", None) is None:
-        flags["use_degree"] = True
-    elif getattr(args, "use_degree", None) is not None:
+    if getattr(args, "use_degree", None) is not None:
         flags["use_degree"] = args.use_degree
     merged = _merge(defaults, file_model, flags)
+    if merged["pe_mode"] == "graphormer" and "use_degree" not in {**file_model, **flags}:
+        merged["use_degree"] = True  # the scalar-bias baseline reads degrees by default
     return ModelConfig(**merged)
 
 
@@ -348,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--preset", choices=sorted(PRESETS), default=None)
         p.add_argument("--pe", choices=["none", "grpe", "graphormer", "laplacian"],
-                       default="grpe")
+                       default=None, help="attention mode (default: grpe)")
         speed = p.add_mutually_exclusive_group()
         speed.add_argument("--fast", action="store_true", default=True)
         speed.add_argument("--naive", dest="naive", action="store_true", default=False)

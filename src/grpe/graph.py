@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,13 +225,29 @@ def parse_graphs(path) -> list:
 
 
 def restamp_edge_types(sample: GraphSample, num_edge_types: int) -> GraphSample:
-    """Rebuild a sample with a (larger or equal) edge-type universe."""
+    """The sample with its graph in another edge-type universe; the sample
+    itself when the universe is already that one."""
     g = sample.graph
+    if num_edge_types == g.num_edge_types:
+        return sample
     if num_edge_types < g.num_edge_types and any(t >= num_edge_types for _, _, t in g.edges):
         raise ValueError(f"edge type outside [0, {num_edge_types})")
-    return GraphSample(graph=replace(g, num_edge_types=num_edge_types),
+    return GraphSample(graph=_checked_graph(g.node_types, g.edges, num_edge_types,
+                                            g.has_virtual_node),
                        target=sample.target,
                        node_labels=list(sample.node_labels) if sample.node_labels else None)
+
+
+def _checked_graph(node_types: tuple, edges: tuple, num_edge_types: int,
+                   has_virtual_node: bool) -> Graph:
+    """A Graph from fields already in the normalized form that
+    ``Graph.__post_init__`` checks and produces; skips its per-edge checks."""
+    g = object.__new__(Graph)
+    for name, value in (("node_types", node_types), ("edges", edges),
+                        ("num_edge_types", num_edge_types),
+                        ("has_virtual_node", has_virtual_node)):
+        object.__setattr__(g, name, value)
+    return g
 
 
 def sample_to_record(sample: GraphSample) -> str:
@@ -269,10 +285,10 @@ def attach_virtual_node(g: Graph) -> Graph:
     """
     if g.has_virtual_node:
         raise ValueError("virtual node already attached")
-    return Graph(node_types=(0,) + g.node_types,
-                 edges=tuple((i + 1, j + 1, t) for i, j, t in g.edges),
-                 num_edge_types=g.num_edge_types,
-                 has_virtual_node=True)
+    # Shifting both ends of valid edges keeps them valid and off node 0.
+    return _checked_graph((0,) + g.node_types,
+                          tuple((i + 1, j + 1, t) for i, j, t in g.edges),
+                          g.num_edge_types, True)
 
 
 # ---------------------------------------------------------------------------

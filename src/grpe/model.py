@@ -58,6 +58,8 @@ class ModelConfig:
             raise ConfigError(f"pe_mode must be one of {PE_MODES}, got {self.pe_mode!r}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.heads < 1 or self.ffn_dim < 1 or self.d_z < 1:
+            raise ConfigError("d_z, ffn_dim and heads must be >= 1")
         if self.d_z % self.heads != 0:
             raise ConfigError(f"d_z={self.d_z} not divisible by heads={self.heads}")
         if self.L < 1:
@@ -195,58 +197,125 @@ class Model:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _run(self, prep: PreparedSample, want_trace: bool = False,
-             dropout: float = 0.0, rng=None):
+    def _run(self, group, want_trace: bool = False, drop=None):
+        """Forward over one prepared sample, or over a list of them run as
+        one padded group (see ``attention``).
+
+        A single sample returns its prediction, a group a list of them in
+        group order. A group of one runs on the graph's own (N, d) arrays,
+        without a group axis. ``drop`` is None or one ``draw_dropout`` entry
+        per graph.
+        """
         cfg = self.config
-        if not prep.graph.has_virtual_node:
+        single = isinstance(group, PreparedSample)
+        preps = [group] if single else list(group)
+        if not all(p.graph.has_virtual_node for p in preps):
             raise ConfigError("forward expects a prepared graph with the virtual node attached")
-        x = embed_nodes(prep.graph, self.nodes, cfg.use_degree)
-        if prep.input_pe is not None:
-            x = x + prep.input_pe
+        sizes = [p.graph.num_nodes for p in preps]
+        n = max(sizes)
+        rows = []
+        for p in preps:
+            emb = embed_nodes(p.graph, self.nodes, cfg.use_degree)
+            rows.append(emb if p.input_pe is None else emb + p.input_pe)
         mode = cfg.attention_mode()
+        t_idx = e_idx = key_bias = None
+        if len(preps) == 1:
+            x, t_idx, e_idx = rows[0], preps[0].topo_idx, preps[0].edge_idx
+        else:
+            x = _pad_rows(rows, n)
+            if mode.kind != "none":
+                t_idx = _pad_pairs([p.topo_idx for p in preps], n)
+                e_idx = _pad_pairs([p.edge_idx for p in preps], n)
+            if min(sizes) < n:
+                key_bias = _key_bias(sizes, n)
         block_caches = []
         traces = []
-        for blk in self.blocks:
-            x, trace, cache = blk.forward(x, mode, prep.topo_idx, prep.edge_idx,
-                                          want_trace=want_trace, dropout=dropout, rng=rng)
+        for layer, blk in enumerate(self.blocks):
+            masks = None
+            if drop is not None:
+                per_graph = [d[layer] for d in drop]  # (attention, FFN) masks per graph
+                masks = per_graph[0] if len(preps) == 1 else \
+                    tuple(_pad_rows([m[k] for m in per_graph], n) for k in (0, 1))
+            x, trace, cache = blk.forward(x, mode, t_idx, e_idx, want_trace=want_trace,
+                                          key_bias=key_bias, drop=masks)
             block_caches.append(cache)
             if want_trace:
                 traces.append(trace)
+        x3 = x.reshape(len(preps), n, cfg.d_z)
         if cfg.task == "graph_regression":
-            pred = float(x[0] @ self.head_w.value.data[:, 0] + self.head_b.value.data[0])
+            values = x3[:, 0] @ self.head_w.value.data[:, 0] + self.head_b.value.data[0]
+            preds = [float(v) for v in values]
         else:
-            pred = x[1:] @ self.head_w.value.data + self.head_b.value.data
-        cache = {"prep": prep, "blocks": block_caches, "x_final": x}
-        return pred, traces, cache
+            logits = x3[:, 1:] @ self.head_w.value.data + self.head_b.value.data
+            preds = [logits[b, :size - 1] for b, size in enumerate(sizes)]
+        cache = {"preps": preps, "sizes": sizes, "single": single,
+                 "blocks": block_caches, "x_final": x}
+        return (preds[0] if single else preds), traces, cache
 
-    def forward(self, prep: PreparedSample, want_trace: bool = False):
+    def forward(self, prep, want_trace: bool = False):
+        """Prediction for one prepared sample, or a list of them for a group."""
         pred, traces, _ = self._run(prep, want_trace=want_trace)
         return (pred, traces) if want_trace else pred
 
-    def forward_with_cache(self, prep: PreparedSample, dropout: float = 0.0, rng=None):
-        pred, _, cache = self._run(prep, dropout=dropout, rng=rng)
+    def forward_with_cache(self, prep):
+        pred, _, cache = self._run(prep)
         return pred, cache
 
     def predict(self, sample: graphs.GraphSample):
         return self.forward(self.prepare(sample))
 
+    def draw_dropout(self, num_nodes: int, rate: float, rng) -> list:
+        """Per-block (attention, FFN) dropout masks for one graph, scaled by
+        1 / (1 - rate) and drawn from ``rng`` in the order the blocks apply them."""
+        shape = (num_nodes, self.config.d_z)
+        return [tuple((rng.random(shape) >= rate) / (1.0 - rate) for _ in range(2))
+                for _ in self.blocks]
+
     def backward(self, d_pred, cache):
-        """Accumulate gradients of a scalar loss given d loss / d prediction."""
-        x = cache["x_final"]
-        d_x = np.zeros_like(x)
+        """Accumulate gradients of a scalar loss given d loss / d prediction
+        (a list, one per graph, when the forward ran a group)."""
+        x, sizes = cache["x_final"], cache["sizes"]
+        d_preds = [d_pred] if cache["single"] else d_pred
+        x3 = x.reshape(len(sizes), -1, x.shape[-1])
+        d_x = np.zeros_like(x3)
         if self.config.task == "graph_regression":
-            g = float(d_pred)
-            self.head_w.grad.data[:, 0] += g * x[0]
-            self.head_b.grad.data[0] += g
-            d_x[0] = g * self.head_w.value.data[:, 0]
+            g = np.array([float(v) for v in d_preds])
+            self.head_w.grad.data[:, 0] += g @ x3[:, 0]
+            self.head_b.grad.data[0] += g.sum()
+            d_x[:, 0] = g[:, None] * self.head_w.value.data[:, 0]
         else:
-            d_logits = np.asarray(d_pred)
-            self.head_w.grad.data += x[1:].T @ d_logits
-            self.head_b.grad.data += d_logits.sum(axis=0)
-            d_x[1:] = d_logits @ self.head_w.value.data.T
+            d_logits = _pad_rows([np.asarray(d) for d in d_preds], x3.shape[1] - 1)
+            flat = d_logits.reshape(-1, d_logits.shape[-1])
+            self.head_w.grad.data += x3[:, 1:].reshape(len(flat), -1).T @ flat
+            self.head_b.grad.data += flat.sum(axis=0)
+            d_x[:, 1:] = d_logits @ self.head_w.value.data.T
+        d_x = d_x.reshape(x.shape)
         for blk, blk_cache in zip(reversed(self.blocks), reversed(cache["blocks"])):
             d_x = blk.backward(d_x, blk_cache)
-        embed_nodes_backward(d_x, cache["prep"].graph, self.nodes, self.config.use_degree)
+        for d_rows, p, size in zip(d_x.reshape(x3.shape), cache["preps"], sizes):
+            embed_nodes_backward(d_rows[:size], p.graph, self.nodes, self.config.use_degree)
+
+
+def _pad_rows(arrays, n: int) -> np.ndarray:
+    """Stack (n_b, ...) arrays, n_b <= n, into one zero-padded (B, n, ...) array."""
+    out = np.zeros((len(arrays), n) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    for slot, a in zip(out, arrays):
+        slot[:len(a)] = a
+    return out
+
+
+def _pad_pairs(mats, n: int) -> np.ndarray:
+    """Stack (n_b, n_b) bucket matrices into one (B, n, n) array whose
+    padded pairs hold bucket 0."""
+    out = np.zeros((len(mats), n, n), dtype=mats[0].dtype)
+    for slot, m in zip(out, mats):
+        slot[:len(m), :len(m)] = m
+    return out
+
+
+def _key_bias(sizes, n: int) -> np.ndarray:
+    """(B, 1, n) score bias: -inf on each graph's padded keys, 0 elsewhere."""
+    return np.where(np.arange(n) < np.array(sizes)[:, None], 0.0, -np.inf)[:, None, :]
 
 
 def _normal_param(rng, *shape) -> Parameter:

@@ -15,6 +15,7 @@ import numpy as np
 from . import graph as graphs
 from .attention import grpe_scores_fast, grpe_scores_naive, grpe_values
 from .encodings import init_tables, normalized_laplacian
+from .errors import ConfigError
 from .linalg import jacobi_eigh
 from .model import ModelConfig, build_model
 from .synthetic import floyd_warshall, random_graph
@@ -158,6 +159,78 @@ def suite_gradients(cases: int = 32, seed: int = 0) -> SuiteResult:
     return SuiteResult("gradients", cases, worst, EQUIVALENCE_TOL, worst < EQUIVALENCE_TOL)
 
 
+# Every attention path a model can run: grpe fast and naive with each of
+# the 8 use_topology/use_edge/use_value combinations, graphormer with and
+# without a shared projection, laplacian and none.
+BATCH_VARIANTS = tuple(
+    [dict(pe_mode="grpe", fast=fast, use_topology=t, use_edge=e, use_value=v)
+     for fast in (True, False) for t, e, v in itertools.product((True, False), repeat=3)]
+    + [dict(pe_mode="graphormer", graphormer_shared_w=False),
+       dict(pe_mode="graphormer", graphormer_shared_w=True),
+       dict(pe_mode="laplacian"), dict(pe_mode="none")])
+
+
+def suite_batching(cases: int = 40, seed: int = 0) -> SuiteResult:
+    """A packed group against each of its graphs run alone: predictions and
+    summed parameter gradients.
+
+    Case c runs variant c % 20 of ``BATCH_VARIANTS`` on task (c // 20) % 2
+    (graph regression, node classification), with L = (1, 2, 5)[c % 3].
+    The group holds one graph of each kind (random, one-node, edgeless,
+    disconnected) and one more random graph, in random order, so sizes mix
+    and most graphs are padded; every fourth case instead holds three
+    relabellings of one random graph, a group with no padding. Each graph
+    gets a random output gradient; odd cases also apply per-graph dropout
+    masks.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for case in range(cases):
+        task = ("graph_regression", "node_classification")[(case // 20) % 2]
+        cfg = ModelConfig(layers=2, d_z=8, ffn_dim=8, heads=2, L=(1, 2, 5)[case % 3],
+                          num_edge_types=3, node_vocab=4, task=task, num_classes=3,
+                          lap_pe_dim=4, seed=int(rng.integers(0, 2 ** 31)),
+                          **BATCH_VARIANTS[case % len(BATCH_VARIANTS)])
+        model = build_model(cfg)
+        for _, p in model.parameters():
+            p.value.data += rng.normal(0.0, 0.3, p.value.shape)
+        if case % 4 == 3:
+            g, _ = _graph_of_kind(rng, "random")
+            group = [graphs.permute_graph(g, rng.permutation(g.num_nodes)) for _ in range(3)]
+        else:
+            kinds = list(GRAPH_KINDS) + ["random"]
+            group = [_graph_of_kind(rng, kinds[k])[0] for k in rng.permutation(len(kinds))]
+        preps, d_preds = [], []
+        for g in group:
+            n = g.num_nodes
+            if task == "graph_regression":
+                sample = graphs.GraphSample(graph=g, target=0.0)
+                d_preds.append(float(rng.normal()))
+            else:
+                sample = graphs.GraphSample(graph=g, node_labels=rng.integers(0, 3, n).tolist())
+                d_preds.append(rng.normal(size=(n, 3)))
+            preps.append(model.prepare(sample))
+        drops = None
+        if case % 2:
+            drops = [model.draw_dropout(p.graph.num_nodes, 0.3, rng) for p in preps]
+
+        model.zero_grad()
+        alone = []
+        for i, prep in enumerate(preps):
+            pred, _, cache = model._run(prep, drop=None if drops is None else [drops[i]])
+            model.backward(d_preds[i], cache)
+            alone.append(pred)
+        grads = {name: p.grad.data.copy() for name, p in model.parameters()}
+        model.zero_grad()
+        packed, _, cache = model._run(preps, drop=drops)
+        model.backward(d_preds, cache)
+        for a, b in zip(alone, packed):
+            worst = max(worst, float(np.abs(np.asarray(a) - np.asarray(b)).max()))
+        for name, p in model.parameters():
+            worst = max(worst, float(np.abs(p.grad.data - grads[name]).max()))
+    return SuiteResult("batching", cases, worst, EQUIVALENCE_TOL, worst < EQUIVALENCE_TOL)
+
+
 def suite_reduction(cases: int = 50, seed: int = 0) -> SuiteResult:
     """Zeroed encoding tables must make the full model a vanilla transformer."""
     rng = np.random.default_rng(seed)
@@ -243,11 +316,14 @@ SUITES = {
     "gradients": suite_gradients,
     "reduction": suite_reduction,
     "eigensolver": suite_eigensolver,
+    "batching": suite_batching,
 }
 
 
 def run_suites(names=None, cases=None, seed: int = 0, inject_fault: bool = False):
     """Run the named suites (all by default); returns SuiteResult list."""
+    if cases is not None and cases < 1:
+        raise ConfigError(f"cases must be >= 1, got {cases}")
     selected = list(SUITES) if not names else list(names)
     results = []
     for name in selected:

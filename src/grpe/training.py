@@ -1,9 +1,15 @@
 """Optimizer, schedule, training/eval loops, and checkpointing.
 
-Graphs are processed one at a time (no padding); a batch is a gradient
-accumulation window. Everything is deterministic given the seeds: data
-order comes from a dedicated generator whose state is checkpointed, so a
-resumed run continues the exact same stream.
+A batch is a gradient accumulation window of ``batch_size`` graphs. The
+window runs as a few packed groups (``group_by_size``): its graphs are
+sorted by node count and cut into consecutive groups whose padded size
+``B * N_max ** 2`` (virtual node included) stays within
+``MAX_GROUP_PAIRS``; each group is one padded forward and backward pass.
+``evaluate`` and ``mean_loss`` group their whole set the same way.
+Everything is deterministic given the seeds: data order, sign flips and
+dropout masks come from a dedicated generator, drawn per graph in window
+order, whose state is checkpointed, so a resumed run continues the exact
+same stream.
 """
 
 from __future__ import annotations
@@ -21,6 +27,11 @@ from .encodings import sign_flip_augment
 
 CHECKPOINT_FORMAT = "grpe-checkpoint"
 CHECKPOINT_VERSION = 1
+
+# Pair budget of one packed group: the 64 x 64 pairs of one 64-node graph
+# (virtual node included), so a group never holds larger caches than a
+# graph of that size run alone.
+MAX_GROUP_PAIRS = 4096
 
 
 @dataclass
@@ -40,10 +51,17 @@ class TrainConfig:
     seed: int | None = None             # trainer stream; derived from model seed if None
 
     def __post_init__(self):
+        for name in ("lr_start", "lr_end", "weight_decay", "adam_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.lr_start > self.lr_end > 0):
             raise ConfigError("need lr_start > lr_end > 0")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be > 0 (or None), got {self.grad_clip!r}")
+        if self.warmup_steps < 0:
+            raise ConfigError(f"warmup_steps must be >= 0, got {self.warmup_steps!r}")
 
 
 class EpochRecord(NamedTuple):
@@ -116,15 +134,30 @@ def adam_step(named_params, state: TrainerState, lr: float, beta1: float = 0.9,
         p.value.data -= lr * update
         if weight_decay:
             p.value.data -= lr * weight_decay * p.value.data
+    for name, p in named_params:
+        if not np.isfinite(p.value.data).all():
+            raise NumericError(f"parameter {name!r} has non-finite entries after "
+                               f"optimizer step {state.t}")
 
 
-def _sample_loss(model: Model, prep, class_weights=None):
-    target = prep.target if model.config.task == "graph_regression" else prep.node_labels
-    pred, cache = model.forward_with_cache(
-        prep, dropout=model.config.dropout,
-        rng=model.trainer.rng if (model.trainer and model.config.dropout > 0) else None)
-    value, d_pred = loss_and_grad(pred, target, model.config.task, class_weights)
-    return value, d_pred, cache
+def group_by_size(sizes) -> list:
+    """Cut positions ``0..len(sizes)-1`` into packed groups.
+
+    Positions are sorted by size, ties by position, then cut into
+    consecutive groups whose padded size ``len(group) * max_size ** 2``
+    stays within ``MAX_GROUP_PAIRS``; a graph above it is a group of one.
+    """
+    groups = []
+    for pos in sorted(range(len(sizes)), key=lambda i: (sizes[i], i)):
+        if groups and (len(groups[-1]) + 1) * sizes[pos] ** 2 <= MAX_GROUP_PAIRS:
+            groups[-1].append(pos)
+        else:
+            groups.append([pos])
+    return groups
+
+
+def _target(model: Model, prep):
+    return prep.target if model.config.task == "graph_regression" else prep.node_labels
 
 
 def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
@@ -147,6 +180,7 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
         model.trainer = TrainerState(model, seed)
     st = model.trainer
     params = model.parameters()
+    task, rate = model.config.task, model.config.dropout
     n_batches = math.ceil(len(prepared) / cfg.batch_size)
     total_steps = cfg.epochs * n_batches
 
@@ -157,20 +191,33 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
         sample_losses = []
         lr = cfg.lr_start
         for b in range(n_batches):
-            batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            window = [int(i) for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
             model.zero_grad()
-            for idx in batch:
-                prep = prepared[int(idx)]
+            # Every random draw of the window happens here, graph by graph
+            # in window order, before any group runs.
+            preps, drops = [], []
+            for idx in window:
+                prep = prepared[idx]
                 if cfg.lap_sign_flip and prep.input_pe is not None:
                     flipped = sign_flip_augment(prep.input_pe,
                                                 int(st.rng.integers(0, 2 ** 31)))
                     prep = replace(prep, input_pe=flipped)
-                value, d_pred, cache = _sample_loss(model, prep, class_weights)
-                if not math.isfinite(value):
-                    raise NumericError(
-                        f"loss diverged (non-finite) at epoch {epoch + 1}, sample {int(idx)}")
-                model.backward(d_pred * (1.0 / len(batch)), cache)
-                sample_losses.append(value)
+                preps.append(prep)
+                if rate > 0:
+                    drops.append(model.draw_dropout(prep.graph.num_nodes, rate, st.rng))
+            for group in group_by_size([p.graph.num_nodes for p in preps]):
+                preds, _, cache = model._run([preps[i] for i in group],
+                                             drop=[drops[i] for i in group] if drops else None)
+                d_preds = []
+                for i, pred in zip(group, preds):
+                    value, d_pred = loss_and_grad(pred, _target(model, preps[i]), task,
+                                                  class_weights)
+                    if not math.isfinite(value):
+                        raise NumericError(f"loss diverged (non-finite) at epoch "
+                                           f"{epoch + 1}, sample {window[i]}")
+                    d_preds.append(d_pred * (1.0 / len(window)))
+                    sample_losses.append(value)
+                model.backward(d_preds, cache)
             lr = _scheduled_lr(cfg, st.global_step, total_steps)
             adam_step(params, st, lr, cfg.beta1, cfg.beta2, cfg.adam_eps,
                       cfg.weight_decay, cfg.grad_clip)
@@ -188,11 +235,12 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
 
 def mean_loss(model: Model, prepared, class_weights=None) -> float:
     values = []
-    for prep in prepared:
-        target = prep.target if model.config.task == "graph_regression" else prep.node_labels
-        pred = model.forward(prep)
-        value, _ = loss_and_grad(pred, target, model.config.task, class_weights)
-        values.append(value)
+    for group in group_by_size([p.graph.num_nodes for p in prepared]):
+        preps = [prepared[i] for i in group]
+        for prep, pred in zip(preps, model.forward(preps)):
+            value, _ = loss_and_grad(pred, _target(model, prep), model.config.task,
+                                     class_weights)
+            values.append(value)
     return math.fsum(values) / len(values)
 
 
@@ -202,30 +250,34 @@ def evaluate(model: Model, dataset) -> dict:
     Regression reports MAE. Node classification reports plain accuracy and
     class-weighted accuracy (mean per-class recall over observed classes).
     Reductions are exact sums, so dataset order cannot change the result.
+    Graphs are prepared one packed group at a time.
     """
-    prepared = [model.prepare(s) for s in dataset]
-    if model.config.task == "graph_regression":
-        errs = [abs(model.forward(p) - p.target) for p in prepared]
-        return {"mae": math.fsum(errs) / len(errs), "count": len(errs)}
     c = model.config.num_classes
     correct = np.zeros(c, dtype=np.int64)
     totals = np.zeros(c, dtype=np.int64)
-    ce = []
-    for prep in prepared:
-        logits = model.forward(prep)
-        value, _ = loss_and_grad(logits, prep.node_labels, model.config.task)
-        ce.append(value)
-        pred_cls = logits.argmax(axis=1)
-        for cls in range(c):
-            mask = prep.node_labels == cls
-            totals[cls] += int(mask.sum())
-            correct[cls] += int((pred_cls[mask] == cls).sum())
+    errs, ce = [], []
+    # prepare() adds the virtual node, so a prepared graph has one node more
+    for group in group_by_size([s.graph.num_nodes + 1 for s in dataset]):
+        preps = [model.prepare(dataset[i]) for i in group]
+        for prep, pred in zip(preps, model.forward(preps)):
+            if model.config.task == "graph_regression":
+                errs.append(abs(pred - prep.target))
+                continue
+            value, _ = loss_and_grad(pred, prep.node_labels, model.config.task)
+            ce.append(value)
+            pred_cls = pred.argmax(axis=1)
+            for cls in range(c):
+                mask = prep.node_labels == cls
+                totals[cls] += int(mask.sum())
+                correct[cls] += int((pred_cls[mask] == cls).sum())
+    if model.config.task == "graph_regression":
+        return {"mae": math.fsum(errs) / len(errs), "count": len(errs)}
     seen = totals > 0
     recalls = correct[seen] / totals[seen]
     return {"accuracy": float(correct.sum() / totals.sum()),
             "weighted_accuracy": float(recalls.mean()),
             "loss": math.fsum(ce) / len(ce),
-            "count": len(prepared)}
+            "count": len(ce)}
 
 
 # ---------------------------------------------------------------------------

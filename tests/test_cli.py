@@ -246,6 +246,23 @@ class TestTrainEval:
         # seed is the model seed, as with --seed; the trainer derives its own
         assert model_cfg["seed"] == 3 and train_cfg["seed"] is None
 
+    def test_config_file_accepts_every_model_key(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        main(["generate", "--task", "spd2", "--count", "4", "--seed", "4",
+              "--min-nodes", "4", "--max-nodes", "6", "--out", str(data)])
+        model_keys = {"pe_mode": "graphormer", "use_topology": False, "use_edge": False,
+                      "use_value": False, "graphormer_shared_w": True, "lap_pe_dim": 4,
+                      "fast": False, "use_degree": False, "dropout": 0.1}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"layers": 1, "d_z": 16, "ffn_dim": 16, "heads": 2,
+                                        "epochs": 1, **model_keys}))
+        capsys.readouterr()
+        code, out, _ = run(capsys, "train", "--data", str(data),
+                           "--out", str(tmp_path / "run"), "--config", str(cfg_file))
+        assert code == 0
+        model_cfg = json.loads(out.splitlines()[0].split("model: ", 1)[1])
+        assert {k: model_cfg[k] for k in model_keys} == model_keys
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         main(["generate", "--task", "spd2", "--count", "2", "--out", str(data)])
@@ -269,11 +286,63 @@ class TestTrainEval:
         assert repr(key) in err and f"expected {expected}" in err
 
 
+class TestInputContract:
+    """Inputs the CLI accepts either work or fail with their documented exit
+    code and a message naming the problem."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        main(["generate", "--task", "spd2", "--count", "4", "--seed", "2",
+              "--min-nodes", "4", "--max-nodes", "6", "--out", str(path)])
+        return path
+
+    @pytest.mark.parametrize("flag", ["--heads", "--ffn-dim"])
+    def test_zero_width_is_config_error(self, data, tmp_path, capsys, flag):
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "r"),
+                           "--layers", "1", "--d-z", "16", "--ffn-dim", "16", "--heads", "2",
+                           "--epochs", "1", flag, "0")
+        assert code == errors.EXIT_CONFIG
+        assert "heads must be >= 1" in err
+
+    @pytest.mark.parametrize("key,value", [("grad_clip", 0.0), ("grad_clip", -1.0),
+                                           ("warmup_steps", -1),
+                                           ("lr_start", float("inf")), ("lr_end", float("nan")),
+                                           ("weight_decay", float("nan")),
+                                           ("adam_eps", float("inf"))])
+    def test_bad_train_value_is_config_error(self, data, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"layers": 1, "d_z": 16, "ffn_dim": 16, "heads": 2,
+                                        "epochs": 1, key: value}))
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "r"),
+                           "--config", str(cfg_file))
+        assert code == errors.EXIT_CONFIG
+        assert key in err
+
+    def test_non_finite_parameter_after_step_is_numeric_error(self, data, tmp_path, capsys):
+        # lr * weight_decay overflows, so the one optimizer step leaves inf/NaN
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"layers": 1, "d_z": 16, "ffn_dim": 16, "heads": 2,
+                                        "epochs": 1, "lr_start": 1e300, "lr_end": 1e299,
+                                        "weight_decay": 1e300}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run(capsys, "train", "--data", str(data),
+                               "--out", str(tmp_path / "r"), "--config", str(cfg_file))
+        assert code == errors.EXIT_NUMERIC
+        assert "'nodes.type_table'" in err
+        assert not (tmp_path / "r" / "checkpoint.json").exists()
+
+    def test_selfcheck_zero_cases_is_config_error(self, capsys):
+        code, out, err = run(capsys, "selfcheck", "--cases", "0")
+        assert code == errors.EXIT_CONFIG
+        assert "PASS" not in out and "cases" in err
+
+
 class TestSelfcheck:
     def test_default_run_passes(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--cases", "10")
         assert code == 0
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
 
     def test_targets_reverification(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -322,6 +391,16 @@ class TestSelfcheck:
         code, out, _ = run(capsys, "selfcheck", "--suite", "gradients", "--cases", "8")
         assert code == errors.EXIT_CHECK
         assert "suite gradients" in out and "FAIL" in out
+
+    def test_batching_suite_fails_on_a_leaked_padded_row(self, capsys, monkeypatch):
+        from grpe import model
+        code, _, _ = run(capsys, "selfcheck", "--suite", "batching", "--cases", "20")
+        assert code == 0
+        # without the key mask, real nodes attend to the padded rows
+        monkeypatch.setattr(model, "_key_bias", lambda sizes, n: None)
+        code, out, _ = run(capsys, "selfcheck", "--suite", "batching", "--cases", "20")
+        assert code == errors.EXIT_CHECK
+        assert "suite batching" in out and "FAIL" in out
 
     def test_injected_fault_nonzero_exit(self, capsys):
         code, out, err = run(capsys, "selfcheck", "--suite", "bfs", "--cases", "3",

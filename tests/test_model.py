@@ -104,6 +104,19 @@ class TestForward:
             assert (prep.topo_idx is not None) == reads and (prep.edge_idx is not None) == reads
             assert math.isfinite(model.forward(prep))
 
+    def test_prepare_validates_no_graph_again(self, monkeypatch):
+        from grpe import graph as graphs
+        s = GraphSample(graph=random_graph(np.random.default_rng(3), 6, 3, 6, 0.5), target=0.0)
+        calls = []
+        real = graphs.Graph.__post_init__
+        monkeypatch.setattr(graphs.Graph, "__post_init__",
+                            lambda self: calls.append(1) or real(self))
+        for edge_types in (3, 5):  # the sample's own universe, then a wider one
+            calls.clear()
+            prep = build_model(small_cfg(num_edge_types=edge_types)).prepare(s)
+            assert calls == [] and prep.graph.num_edge_types == edge_types
+            assert prep.graph.edges == tuple((i + 1, j + 1, t) for i, j, t in s.graph.edges)
+
     def test_task_target_mismatch(self):
         model = build_model(small_cfg())
         g = random_graph(np.random.default_rng(2), 4, 3, 6, 0.5)

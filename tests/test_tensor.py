@@ -160,22 +160,26 @@ class TestGatherRows:
 
     def test_scatter_matches_explicit_loop_bitwise(self):
         # the bucket gather and its adjoint scatter, query side (axis 0) and
-        # key side (axis 1), against per-pair loops; both bit for bit
+        # key side (axis 1), against per-pair loops; both bit for bit, for
+        # one graph and for a group of graphs (a leading group axis)
         rng = np.random.default_rng(4)
-        for _ in range(20):
+        for case in range(20):
             heads, n, rows = (int(v) for v in rng.integers(1, 7, size=3))
-            idx = rng.integers(0, rows, size=(n, n))
-            values = rng.normal(size=(heads, n, n))
-            table = rng.normal(size=(heads, n, rows))
+            group = () if case % 2 else (int(rng.integers(1, 4)),)
+            idx = rng.integers(0, rows, size=group + (n, n))
+            values = rng.normal(size=(heads,) + group + (n, n))
+            table = rng.normal(size=(heads,) + group + (n, rows))
             for axis in (0, 1):
                 got = _scatter_buckets(values, idx, rows, by_key=axis == 1)
-                want = np.zeros((heads, n, rows))
-                gathered = np.zeros((heads, n, n))
+                want = np.zeros((heads,) + group + (n, rows))
+                gathered = np.zeros((heads,) + group + (n, n))
                 for h in range(heads):
-                    for i in range(n):
-                        for j in range(n):
-                            want[h, (i, j)[axis], idx[i, j]] += values[h, i, j]
-                            gathered[h, i, j] = table[h, (i, j)[axis], idx[i, j]]
+                    for b in np.ndindex(*group):
+                        for i in range(n):
+                            for j in range(n):
+                                node, bucket = (i, j)[axis], idx[b + (i, j)]
+                                want[(h,) + b + (node, bucket)] += values[(h,) + b + (i, j)]
+                                gathered[(h,) + b + (i, j)] = table[(h,) + b + (node, bucket)]
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(_gather_buckets(table, idx, by_key=axis == 1),
                                               gathered)

@@ -7,12 +7,12 @@ import pytest
 
 from grpe.errors import CheckpointError, ConfigError
 from grpe.graph import GraphSample, permute_sample
-from grpe.model import ModelConfig, build_model
+from grpe.model import ModelConfig, build_model, loss_and_grad
 from grpe.synthetic import make_synthetic, random_graph
 from grpe.tensor import Parameter
 from grpe.training import (TrainConfig, TrainerState, adam_step, evaluate,
-                           load_checkpoint, lr_at, mean_loss, save_checkpoint,
-                           train)
+                           group_by_size, load_checkpoint, lr_at, mean_loss,
+                           save_checkpoint, train)
 
 
 def small_cfg(**kw):
@@ -169,6 +169,33 @@ class TestTrainLoop:
             assert abs(a.train_loss - b.train_loss) < 1e-8
 
 
+class TestPackedGroups:
+    def test_grouping_rule(self):
+        # sorted by size, ties by position, cut where B * N_max^2 would pass 4096
+        sizes = [17, 9, 17, 30, 9, 65, 12]
+        assert group_by_size(sizes) == [[1, 4, 6, 0, 2], [3], [5]]
+        assert group_by_size([17] * 8) == [list(range(8))]   # 8 * 17^2 = 2312
+        assert group_by_size([49, 49]) == [[0], [1]]          # 2 * 49^2 > 4096
+        assert group_by_size([]) == []
+
+    def test_trainer_stream_drawn_per_graph_in_window_order(self):
+        """Data order, then per graph in window order its sign flip and its
+        per-block (attention, FFN) dropout masks: the stream a graph-by-graph
+        loop draws, so checkpoints resume with the same data order."""
+        data = make_synthetic("spd2_fraction", 11, (4, 12), seed=31)
+        model = build_model(small_cfg(pe_mode="laplacian", lap_pe_dim=4, dropout=0.2, seed=6))
+        cfg = TrainConfig(epochs=2, batch_size=4, lap_sign_flip=True, seed=9)
+        train(model, data, cfg)
+        rng = np.random.default_rng(9)
+        for _ in range(2):
+            order = rng.permutation(len(data))
+            for idx in order:
+                rng.integers(0, 2 ** 31)
+                for _ in range(2 * model.config.layers):
+                    rng.random((data[idx].graph.num_nodes + 1, model.config.d_z))
+        assert model.trainer.rng.bit_generator.state == rng.bit_generator.state
+
+
 class TestExposedKnobs:
     def test_dropout_training_deterministic(self):
         data = make_synthetic("spd2_fraction", 12, (4, 8), seed=30)
@@ -200,6 +227,29 @@ class TestExposedKnobs:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("kind", ["spd2_fraction", "degree_class"])
+    def test_two_groups_match_per_graph_forward(self, kind):
+        # 12 graphs of 8-16 nodes pack into one group, the 40-node one runs alone
+        data = (make_synthetic(kind, 12, (8, 16), seed=7)
+                + make_synthetic(kind, 1, (40, 40), seed=8))
+        assert len(group_by_size([s.graph.num_nodes + 1 for s in data])) == 2
+        task = "graph_regression" if kind == "spd2_fraction" else "node_classification"
+        model = build_model(small_cfg(task=task))
+        metrics = evaluate(model, data)
+        preds = [model.forward(model.prepare(s)) for s in data]
+        if task == "graph_regression":
+            mae = math.fsum(abs(p - s.target) for p, s in zip(preds, data)) / len(data)
+            assert abs(metrics["mae"] - mae) <= 1e-12
+            return
+        labels = [np.array(s.node_labels) for s in data]
+        hits = np.concatenate([p.argmax(axis=1) == y for p, y in zip(preds, labels)])
+        every = np.concatenate(labels)
+        recalls = [hits[every == c].mean() for c in np.unique(every)]
+        ce = math.fsum(loss_and_grad(p, y, task)[0] for p, y in zip(preds, labels)) / len(data)
+        assert metrics["accuracy"] == hits.mean()
+        assert abs(metrics["weighted_accuracy"] - np.mean(recalls)) <= 1e-12
+        assert abs(metrics["loss"] - ce) <= 1e-12
+
     def test_perfect_predictions(self):
         data = make_synthetic("degree_class", 6, (4, 8), seed=5)
         model = build_model(small_cfg(task="node_classification"))
@@ -210,10 +260,13 @@ class TestEvaluate:
             def prepare(self, s):
                 return model.prepare(s)
 
-            def forward(self, prep):
-                out = np.zeros((prep.node_labels.size, 3))
-                out[np.arange(prep.node_labels.size), prep.node_labels] = 10.0
-                return out
+            def forward(self, group):  # evaluate() forwards packed groups
+                outs = []
+                for prep in group:
+                    out = np.zeros((prep.node_labels.size, 3))
+                    out[np.arange(prep.node_labels.size), prep.node_labels] = 10.0
+                    outs.append(out)
+                return outs
 
         metrics = evaluate(Oracle(), data)
         assert metrics["accuracy"] == 1.0
@@ -231,10 +284,13 @@ class TestEvaluate:
             def prepare(self, s):
                 return model.prepare(s)
 
-            def forward(self, prep):
-                out = np.zeros((prep.node_labels.size, 2))
-                out[:, 0] = 1.0
-                return out
+            def forward(self, group):  # evaluate() forwards packed groups
+                outs = []
+                for prep in group:
+                    out = np.zeros((prep.node_labels.size, 2))
+                    out[:, 0] = 1.0
+                    outs.append(out)
+                return outs
 
         metrics = evaluate(Constant(), data)
         assert metrics["weighted_accuracy"] == 0.5
