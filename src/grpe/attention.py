@@ -12,8 +12,16 @@ Four score paths share one softmax/value pipeline:
 
 All kernels are batched over heads: matrices are split to (H, N, d_h) and
 encoding tables to (H, R, d_h) column blocks, mirroring how q/k/v are
-sliced. Every forward has a matching backward that accumulates into the
-shared ``Parameter`` gradients; there is no tape.
+sliced. Every forward returns its result and a cache, and has a matching
+backward that reads that cache and accumulates into the shared
+``Parameter`` gradients; there is no tape. The attention map of a layer
+is ``cache["attn"]`` of ``mha_forward``.
+
+The fast grpe kernels treat the two bucket kinds alike: each loops over
+the enabled (tables, bucket matrix) pairs, topology before edge, and
+adds one node-topology or node-edge term per pair to the scores and
+values. The naive kernels spell both terms out per pair, as the
+reference they are checked against.
 
 A group of graphs runs as one pass. Node features are then (B, N, d),
 with every graph padded to the group's largest node count N; per-head
@@ -89,19 +97,6 @@ class PEMode:
     def __post_init__(self):
         if self.kind not in SCORE_KINDS:
             raise ConfigError(f"unknown attention mode {self.kind!r}; expected one of {SCORE_KINDS}")
-
-
-@dataclass
-class AttentionTrace:
-    """Per-head attention map plus the raw (pre-scaling) score components."""
-
-    attn: np.ndarray                  # (H, N, N), rows sum to 1
-    dot: np.ndarray | None = None     # (H, N, N) q . k term
-    topology: np.ndarray | None = None
-    edge: np.ndarray | None = None
-
-    def head_average(self) -> np.ndarray:
-        return self.attn.mean(axis=0)
 
 
 # Axis orders that move the head axis to the front and back, by the rank
@@ -183,13 +178,10 @@ def _scatter_buckets(pairs: np.ndarray, idx: np.ndarray, buckets: int,
 # score kernels (forward + backward), batched over heads
 # ---------------------------------------------------------------------------
 
-def _plain_scores_fwd(qh, kh, want_parts):
-    dh = qh.shape[-1]
-    scale = 1.0 / math.sqrt(dh)
-    dot = qh @ kh.swapaxes(-1, -2)
+def _plain_scores_fwd(qh, kh):
+    scale = 1.0 / math.sqrt(qh.shape[-1])
     cache = {"kind": "none", "qh": qh, "kh": kh, "scale": scale}
-    parts = (dot, None, None) if want_parts else None
-    return dot * scale, parts, cache
+    return (qh @ kh.swapaxes(-1, -2)) * scale, cache
 
 
 def _plain_scores_bwd(d_scores, cache):
@@ -206,7 +198,7 @@ def _as_group(m: np.ndarray, heads_first: bool) -> np.ndarray:
     return m.reshape(-1, *m.shape[-2:])
 
 
-def _grpe_scores_naive_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts):
+def _grpe_scores_naive_fwd(qh, kh, t_idx, e_idx, topology, edge, mode):
     heads, dh = qh.shape[0], qh.shape[-1]
     scale = 1.0 / math.sqrt(dh)
     pq = split_heads(topology.query.value.data, heads) if mode.use_topology else None
@@ -252,8 +244,7 @@ def _grpe_scores_naive_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_part
     cache = {"kind": "grpe_naive", "qh": qh, "kh": kh, "t_idx": t_idx, "e_idx": e_idx,
              "topology": topology, "edge": edge, "mode": mode, "scale": scale,
              "pq": pq, "pk": pk, "eq": eq, "ek": ek}
-    parts = (dot, topo_term, edge_term) if want_parts else None
-    return scores, parts, cache
+    return scores, cache
 
 
 def _grpe_scores_naive_bwd(d_scores, cache):
@@ -304,67 +295,45 @@ def _grpe_scores_naive_bwd(d_scores, cache):
     return dqh, dkh
 
 
-def _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts):
+def _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode):
     heads, dh = qh.shape[0], qh.shape[-1]
     scale = 1.0 / math.sqrt(dh)
     q_rows, k_rows = _rows(qh), _rows(kh)
-
-    dot = qh @ kh.swapaxes(-1, -2)
-    scores = dot.copy()
-    cache = {"kind": "grpe_fast", "qh": qh, "kh": kh, "t_idx": t_idx, "e_idx": e_idx,
-             "topology": topology, "edge": edge, "mode": mode, "scale": scale}
-    topo_term = edge_term = None
-    if mode.use_topology:
-        pq = split_heads(topology.query.value.data, heads)
-        pk = split_heads(topology.key.value.data, heads)
-        a_q = q_rows @ pq.transpose(0, 2, 1)   # (H, rows, L + 4): q_i . P_b for all buckets
+    scores = qh @ kh.swapaxes(-1, -2)
+    kinds = []   # (tables, bucket matrix, pq, pk) per enabled kind, for the backward
+    for on, tables, idx in ((mode.use_topology, topology, t_idx), (mode.use_edge, edge, e_idx)):
+        if not on:
+            continue
+        pq = split_heads(tables.query.value.data, heads)
+        pk = split_heads(tables.key.value.data, heads)
+        a_q = q_rows @ pq.transpose(0, 2, 1)   # (H, rows, R): q_i . P_b for every bucket b
         a_k = k_rows @ pk.transpose(0, 2, 1)
         score_dot_counter.add(2 * a_q.size)
-        topo_term = _gather_buckets(a_q, t_idx) + _gather_buckets(a_k, t_idx, by_key=True)
-        scores += topo_term
-        cache.update(pq=pq, pk=pk)
-    if mode.use_edge:
-        eq = split_heads(edge.query.value.data, heads)
-        ek = split_heads(edge.key.value.data, heads)
-        b_q = q_rows @ eq.transpose(0, 2, 1)   # (H, rows, E + 3)
-        b_k = k_rows @ ek.transpose(0, 2, 1)
-        score_dot_counter.add(2 * b_q.size)
-        edge_term = _gather_buckets(b_q, e_idx) + _gather_buckets(b_k, e_idx, by_key=True)
-        scores += edge_term
-        cache.update(eq=eq, ek=ek)
+        scores += _gather_buckets(a_q, idx) + _gather_buckets(a_k, idx, by_key=True)
+        kinds.append((tables, idx, pq, pk))
     scores *= scale
-    parts = (dot, topo_term, edge_term) if want_parts else None
-    return scores, parts, cache
+    cache = {"kind": "grpe_fast", "qh": qh, "kh": kh, "scale": scale, "kinds": kinds}
+    return scores, cache
 
 
 def _grpe_scores_fast_bwd(d_scores, cache):
     qh, kh = cache["qh"], cache["kh"]
-    t_idx, e_idx, mode = cache["t_idx"], cache["e_idx"], cache["mode"]
     g = d_scores * cache["scale"]
     dqh = g @ kh
     dkh = g.swapaxes(-1, -2) @ qh
     q_rows, k_rows = _rows(qh), _rows(kh)
     dq_rows, dk_rows = _rows(dqh), _rows(dkh)   # views: += writes into dqh, dkh
-    if mode.use_topology:
-        pq, pk = cache["pq"], cache["pk"]
-        da_q = _rows(_scatter_buckets(g, t_idx, pq.shape[1]))
-        da_k = _rows(_scatter_buckets(g, t_idx, pk.shape[1], by_key=True))
+    for tables, idx, pq, pk in cache["kinds"]:
+        da_q = _rows(_scatter_buckets(g, idx, pq.shape[1]))
+        da_k = _rows(_scatter_buckets(g, idx, pk.shape[1], by_key=True))
         dq_rows += da_q @ pq
         dk_rows += da_k @ pk
-        _fold_table_grad(cache["topology"].query, da_q.transpose(0, 2, 1) @ q_rows)
-        _fold_table_grad(cache["topology"].key, da_k.transpose(0, 2, 1) @ k_rows)
-    if mode.use_edge:
-        eq, ek = cache["eq"], cache["ek"]
-        db_q = _rows(_scatter_buckets(g, e_idx, eq.shape[1]))
-        db_k = _rows(_scatter_buckets(g, e_idx, ek.shape[1], by_key=True))
-        dq_rows += db_q @ eq
-        dk_rows += db_k @ ek
-        _fold_table_grad(cache["edge"].query, db_q.transpose(0, 2, 1) @ q_rows)
-        _fold_table_grad(cache["edge"].key, db_k.transpose(0, 2, 1) @ k_rows)
+        _fold_table_grad(tables.query, da_q.transpose(0, 2, 1) @ q_rows)
+        _fold_table_grad(tables.key, da_k.transpose(0, 2, 1) @ k_rows)
     return dqh, dkh
 
 
-def _graphormer_scores_fwd(qh, kh, t_idx, e_idx, gbias, want_parts):
+def _graphormer_scores_fwd(qh, kh, t_idx, e_idx, gbias):
     heads, dh = qh.shape[0], qh.shape[-1]
     scale = 1.0 / math.sqrt(dh)
     dot = qh @ kh.swapaxes(-1, -2)
@@ -378,8 +347,7 @@ def _graphormer_scores_fwd(qh, kh, t_idx, e_idx, gbias, want_parts):
     scores = dot * scale + topo_term + edge_term
     cache = {"kind": "graphormer", "qh": qh, "kh": kh, "t_idx": t_idx,
              "e_idx": e_idx, "gbias": gbias, "scale": scale}
-    parts = (dot, np.array(topo_term), np.array(edge_term)) if want_parts else None
-    return scores, parts, cache
+    return scores, cache
 
 
 def _graphormer_scores_bwd(d_scores, cache):
@@ -397,15 +365,16 @@ def _graphormer_scores_bwd(d_scores, cache):
     return dqh, dkh
 
 
-def _scores_fwd(mode, qh, kh, t_idx, e_idx, topology, edge, gbias, want_parts):
+def _scores_fwd(mode, qh, kh, t_idx, e_idx, topology, edge, gbias):
+    """(H, [B,] N, N) scaled scores and the cache ``_scores_bwd`` reads."""
     if mode.kind == "none":
-        return _plain_scores_fwd(qh, kh, want_parts)
+        return _plain_scores_fwd(qh, kh)
     if mode.kind == "grpe_naive":
-        return _grpe_scores_naive_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts)
+        return _grpe_scores_naive_fwd(qh, kh, t_idx, e_idx, topology, edge, mode)
     if mode.kind == "grpe_fast":
-        return _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode, want_parts)
+        return _grpe_scores_fast_fwd(qh, kh, t_idx, e_idx, topology, edge, mode)
     if mode.kind == "graphormer":
-        return _graphormer_scores_fwd(qh, kh, t_idx, e_idx, gbias, want_parts)
+        return _graphormer_scores_fwd(qh, kh, t_idx, e_idx, gbias)
     raise ConfigError(f"unknown attention mode {mode.kind!r}")
 
 
@@ -437,31 +406,27 @@ def _values_plain_bwd(d_zh, cache):
 
 def _grpe_values_fast_fwd(attn, vh, t_idx, e_idx, topology, edge):
     heads = attn.shape[0]
-    pv = split_heads(topology.value.value.data, heads)
-    ev = split_heads(edge.value.value.data, heads)
-    # Bucket masses: total attention each query spends on every bucket.
-    mass_t = _rows(_scatter_buckets(attn, t_idx, pv.shape[1]))
-    mass_e = _rows(_scatter_buckets(attn, e_idx, ev.shape[1]))
     zh = attn @ vh
     z_rows = _rows(zh)
-    z_rows += mass_t @ pv
-    z_rows += mass_e @ ev
-    cache = {"kind": "grpe_fast", "attn": attn, "vh": vh, "t_idx": t_idx, "e_idx": e_idx,
-             "topology": topology, "edge": edge, "pv": pv, "ev": ev,
-             "mass_t": mass_t, "mass_e": mass_e}
+    kinds = []   # (tables, bucket matrix, pv, bucket mass) per kind, for the backward
+    for tables, idx in ((topology, t_idx), (edge, e_idx)):
+        pv = split_heads(tables.value.value.data, heads)
+        # Bucket mass: total attention each query spends on every bucket.
+        mass = _rows(_scatter_buckets(attn, idx, pv.shape[1]))
+        z_rows += mass @ pv
+        kinds.append((tables, idx, pv, mass))
+    cache = {"kind": "grpe_fast", "attn": attn, "vh": vh, "kinds": kinds}
     return zh, cache
 
 
 def _grpe_values_fast_bwd(d_zh, cache):
     attn, vh = cache["attn"], cache["vh"]
-    pv, ev = cache["pv"], cache["ev"]
     d_attn = d_zh @ vh.swapaxes(-1, -2)
     d_vh = attn.swapaxes(-1, -2) @ d_zh
     dz_rows = _rows(d_zh)
-    d_attn += _gather_buckets(dz_rows @ pv.transpose(0, 2, 1), cache["t_idx"])
-    d_attn += _gather_buckets(dz_rows @ ev.transpose(0, 2, 1), cache["e_idx"])
-    _fold_table_grad(cache["topology"].value, cache["mass_t"].transpose(0, 2, 1) @ dz_rows)
-    _fold_table_grad(cache["edge"].value, cache["mass_e"].transpose(0, 2, 1) @ dz_rows)
+    for tables, idx, pv, mass in cache["kinds"]:
+        d_attn += _gather_buckets(dz_rows @ pv.transpose(0, 2, 1), idx)
+        _fold_table_grad(tables.value, mass.transpose(0, 2, 1) @ dz_rows)
     return d_attn, d_vh
 
 
@@ -531,49 +496,16 @@ def _values_bwd(d_zh, cache):
 
 
 # ---------------------------------------------------------------------------
-# single-call reference surfaces (selfcheck's equivalence suite)
-# ---------------------------------------------------------------------------
-
-def grpe_scores_naive(q, k, topo_idx, edge_idx, topology, edge, heads: int = 1,
-                      use_topology: bool = True, use_edge: bool = True) -> np.ndarray:
-    """Reference per-pair score map; returns a (heads, N, N) array."""
-    mode = PEMode("grpe_naive", use_topology, use_edge)
-    qh, kh = split_heads(q, heads), split_heads(k, heads)
-    scores, _, _ = _grpe_scores_naive_fwd(qh, kh, topo_idx, edge_idx, topology, edge, mode, False)
-    return scores
-
-
-def grpe_scores_fast(q, k, topo_idx, edge_idx, topology, edge, heads: int = 1,
-                     use_topology: bool = True, use_edge: bool = True) -> np.ndarray:
-    """Precompute-and-lookup score map; must match the naive path."""
-    mode = PEMode("grpe_fast", use_topology, use_edge)
-    qh, kh = split_heads(q, heads), split_heads(k, heads)
-    scores, _, _ = _grpe_scores_fast_fwd(qh, kh, topo_idx, edge_idx, topology, edge, mode, False)
-    return scores
-
-
-def grpe_values(attn, v, topo_idx, edge_idx, topology, edge, heads: int = 1,
-                fast: bool = True) -> np.ndarray:
-    """Attention-weighted values with per-pair encoding rows added.
-
-    ``attn`` is (heads, N, N) row-stochastic, ``v`` is (N, d_z); the result
-    is (N, d_z) with heads merged.
-    """
-    vh = split_heads(v, heads)
-    fwd = _grpe_values_fast_fwd if fast else _grpe_values_naive_fwd
-    zh, _ = fwd(attn, vh, topo_idx, edge_idx, topology, edge)
-    return merge_heads(zh)
-
-
-# ---------------------------------------------------------------------------
 # multi-head attention with cache (training path)
 # ---------------------------------------------------------------------------
 
 def mha_forward(x: np.ndarray, params: AttentionParams, mode: PEMode,
-                topo_idx, edge_idx, topology, edge, gbias, want_trace: bool = False,
-                key_bias=None):
+                topo_idx, edge_idx, topology, edge, gbias, key_bias=None):
     """Attention over (N, d_x) node features, or a padded (B, N, d_x) group
-    whose ``key_bias`` (B, 1, N) is -inf on padded keys and 0 elsewhere."""
+    whose ``key_bias`` (B, 1, N) is -inf on padded keys and 0 elsewhere.
+
+    Returns ``(out, cache)``; ``cache["attn"]`` is the (H, [B,] N, N)
+    attention map, rows summing to 1."""
     if x.ndim not in (2, 3) or x.shape[-1] != params.w_query.shape[0]:
         raise ShapeError(f"attention input {x.shape} does not match W ({params.w_query.shape})")
     h = params.heads
@@ -583,8 +515,7 @@ def mha_forward(x: np.ndarray, params: AttentionParams, mode: PEMode,
     kh = split_heads((x_rows @ params.w_key.value.data).reshape(shape), h)
     vh = split_heads((x_rows @ params.w_value.value.data).reshape(shape), h)
 
-    scores, parts, s_cache = _scores_fwd(mode, qh, kh, topo_idx, edge_idx,
-                                         topology, edge, gbias, want_trace)
+    scores, s_cache = _scores_fwd(mode, qh, kh, topo_idx, edge_idx, topology, edge, gbias)
     if key_bias is not None:
         scores += key_bias
     attn = softmax_lastdim(scores)
@@ -592,13 +523,9 @@ def mha_forward(x: np.ndarray, params: AttentionParams, mode: PEMode,
     z = merge_heads(zh).reshape(len(x_rows), -1)
     out = (z @ params.w_out.value.data).reshape(shape)
 
-    trace = None
-    if want_trace:
-        dot, topo_term, edge_term = parts
-        trace = AttentionTrace(attn=attn, dot=dot, topology=topo_term, edge=edge_term)
     cache = {"x": x_rows, "params": params, "attn": attn, "z": z,
              "s_cache": s_cache, "v_cache": v_cache}
-    return out, trace, cache
+    return out, cache
 
 
 def mha_backward(d_out: np.ndarray, cache) -> np.ndarray:
@@ -657,15 +584,14 @@ class TransformerBlock:
         self.graphormer = graphormer
 
     def forward(self, x: np.ndarray, mode: PEMode, topo_idx, edge_idx,
-                want_trace: bool = False, key_bias=None, drop=None):
+                key_bias=None, drop=None):
         """``x`` is (N, d) or a padded (B, N, d) group (see ``mha_forward``).
         ``drop`` is None or the (attention, FFN) dropout masks, each shaped
         like ``x`` and already scaled by 1 / (1 - rate)."""
         p = self.params
         u = layer_norm_rows(x, p.ln1_gain.value.data, p.ln1_bias.value.data)
-        a, trace, mha_cache = mha_forward(u, p.attn, mode, topo_idx, edge_idx,
-                                          self.topology, self.edge, self.graphormer,
-                                          want_trace=want_trace, key_bias=key_bias)
+        a, mha_cache = mha_forward(u, p.attn, mode, topo_idx, edge_idx, self.topology,
+                                   self.edge, self.graphormer, key_bias=key_bias)
         mask_a = mask_f = None
         if drop is not None:
             mask_a, mask_f = drop
@@ -683,7 +609,7 @@ class TransformerBlock:
 
         cache = {"x": x, "u": u, "h": h, "w": w_rows, "pre": pre, "act": act,
                  "mha_cache": mha_cache, "mask_a": mask_a, "mask_f": mask_f}
-        return out, trace, cache
+        return out, cache
 
     def backward(self, d_out: np.ndarray, cache) -> np.ndarray:
         p = self.params

@@ -298,7 +298,7 @@ def cmd_dump_attention(args) -> int:
     if sample.target is None and model.config.task == "graph_regression":
         raise ConfigError("checkpoint task does not match dataset")
     prep = model.prepare(sample)
-    _, traces = model.forward(prep, want_trace=True)
+    _, maps = model.forward(prep, want_trace=True)
     os.makedirs(args.out, exist_ok=True)
 
     n = prep.graph.num_nodes
@@ -308,10 +308,9 @@ def cmd_dump_attention(args) -> int:
     adj[0, 1:] = 1  # virtual node connects to everything
     adj[1:, 0] = 1
     _write_matrix(os.path.join(args.out, "adjacency.tsv"), adj)
-    for layer, trace in enumerate(traces):
-        path = os.path.join(args.out, f"layer_{layer:02d}.tsv")
-        _write_matrix(path, trace.head_average())
-    print(f"wrote adjacency + {len(traces)} attention maps to {args.out}")
+    for layer, attn in enumerate(maps):
+        _write_matrix(os.path.join(args.out, f"layer_{layer:02d}.tsv"), attn.mean(axis=0))
+    print(f"wrote adjacency + {len(maps)} attention maps to {args.out}")
     return errors.EXIT_OK
 
 

@@ -84,15 +84,9 @@ def init_tables(config, seed):
     nodes, graphormer)``; the last entry is None unless the configuration
     uses the scalar-bias attention mode.
 
-    ``seed`` may be an int or a ``numpy.random.SeedSequence``.
+    ``seed`` may be an int or a ``numpy.random.SeedSequence``. ``config``
+    is a ``ModelConfig``, which has already validated every field read here.
     """
-    if config.L < 1:
-        raise ConfigError("L must be >= 1")
-    if config.num_edge_types < 0:
-        raise ConfigError("num_edge_types must be >= 0")
-    if config.d_z % config.heads != 0:
-        raise ConfigError(f"d_z={config.d_z} not divisible by heads={config.heads}")
-
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     table_seed, gbias_seed = base.spawn(2)
     rng = np.random.default_rng(table_seed)
@@ -109,9 +103,9 @@ def init_tables(config, seed):
                            degree_table=_draw(rng, DEGREE_CLAMP, config.d_z))
 
     graphormer = None
-    if getattr(config, "pe_mode", None) == "graphormer":
+    if config.pe_mode == "graphormer":
         grng = np.random.default_rng(gbias_seed)
-        shared = bool(getattr(config, "graphormer_shared_w", False))
+        shared = config.graphormer_shared_w
         w_cols = 1 if shared else config.heads
         graphormer = GraphormerBias(b=_draw(grng, n_topo, config.heads),
                                     edge_emb=_draw(grng, n_edge, config.d_z),

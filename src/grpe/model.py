@@ -30,6 +30,10 @@ PRESETS = {
 
 INIT_STD = 0.02
 
+# Most rows any bucket or type table may have. A config asking for more is
+# refused before a table, its gradient and its Adam moments are allocated.
+MAX_TABLE_ROWS = 1024
+
 
 @dataclass
 class ModelConfig:
@@ -72,6 +76,12 @@ class ModelConfig:
             raise ConfigError("dropout must be in [0, 1)")
         if self.lap_pe_dim < 1 or self.lap_pe_dim > self.d_z:
             raise ConfigError("lap_pe_dim must be in [1, d_z]")
+        for field, rows in (("L", graphs.topo_bucket_count(self.L)),
+                            ("num_edge_types", graphs.edge_bucket_count(self.num_edge_types)),
+                            ("node_vocab", self.node_vocab + 1)):
+            if rows > MAX_TABLE_ROWS:
+                raise ConfigError(f"{field}={getattr(self, field)} needs a table of {rows} "
+                                  f"rows, above the cap of {MAX_TABLE_ROWS}")
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "ModelConfig":
@@ -197,14 +207,15 @@ class Model:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _run(self, group, want_trace: bool = False, drop=None):
+    def _run(self, group, drop=None):
         """Forward over one prepared sample, or over a list of them run as
-        one padded group (see ``attention``).
+        one padded group (see ``attention``); returns ``(prediction, cache)``.
 
-        A single sample returns its prediction, a group a list of them in
-        group order. A group of one runs on the graph's own (N, d) arrays,
+        A single sample's prediction is one value, a group's a list of them
+        in group order. A group of one runs on the graph's own (N, d) arrays,
         without a group axis. ``drop`` is None or one ``draw_dropout`` entry
-        per graph.
+        per graph. ``cache["blocks"]`` holds each block's cache, and with it
+        that layer's attention map.
         """
         cfg = self.config
         single = isinstance(group, PreparedSample)
@@ -229,18 +240,14 @@ class Model:
             if min(sizes) < n:
                 key_bias = _key_bias(sizes, n)
         block_caches = []
-        traces = []
         for layer, blk in enumerate(self.blocks):
             masks = None
             if drop is not None:
                 per_graph = [d[layer] for d in drop]  # (attention, FFN) masks per graph
                 masks = per_graph[0] if len(preps) == 1 else \
                     tuple(_pad_rows([m[k] for m in per_graph], n) for k in (0, 1))
-            x, trace, cache = blk.forward(x, mode, t_idx, e_idx, want_trace=want_trace,
-                                          key_bias=key_bias, drop=masks)
+            x, cache = blk.forward(x, mode, t_idx, e_idx, key_bias=key_bias, drop=masks)
             block_caches.append(cache)
-            if want_trace:
-                traces.append(trace)
         x3 = x.reshape(len(preps), n, cfg.d_z)
         if cfg.task == "graph_regression":
             values = x3[:, 0] @ self.head_w.value.data[:, 0] + self.head_b.value.data[0]
@@ -250,16 +257,21 @@ class Model:
             preds = [logits[b, :size - 1] for b, size in enumerate(sizes)]
         cache = {"preps": preps, "sizes": sizes, "single": single,
                  "blocks": block_caches, "x_final": x}
-        return (preds[0] if single else preds), traces, cache
+        return (preds[0] if single else preds), cache
 
     def forward(self, prep, want_trace: bool = False):
-        """Prediction for one prepared sample, or a list of them for a group."""
-        pred, traces, _ = self._run(prep, want_trace=want_trace)
-        return (pred, traces) if want_trace else pred
+        """Prediction for one prepared sample, or a list of them for a group.
+
+        With ``want_trace`` it returns ``(prediction, maps)``: one
+        (H, [B,] N, N) attention map per layer, rows summing to 1 and
+        padded keys of a group weighted exactly 0."""
+        pred, cache = self._run(prep)
+        if not want_trace:
+            return pred
+        return pred, [blk["mha_cache"]["attn"] for blk in cache["blocks"]]
 
     def forward_with_cache(self, prep):
-        pred, _, cache = self._run(prep)
-        return pred, cache
+        return self._run(prep)
 
     def predict(self, sample: graphs.GraphSample):
         return self.forward(self.prepare(sample))
@@ -368,14 +380,14 @@ def _check_finite_pred(pred):
         raise NumericError("prediction contains non-finite values")
 
 
-def loss(pred, target, task: str, class_weights=None) -> float:
+def loss(pred, target, task: str) -> float:
     """Scalar training loss: MAE for regression, mean cross-entropy for
-    node classification (optionally weighted per class)."""
-    value, _ = loss_and_grad(pred, target, task, class_weights)
+    node classification."""
+    value, _ = loss_and_grad(pred, target, task)
     return value
 
 
-def loss_and_grad(pred, target, task: str, class_weights=None):
+def loss_and_grad(pred, target, task: str):
     _check_finite_pred(pred)
     if task == "graph_regression":
         diff = float(pred) - float(target)
@@ -386,17 +398,12 @@ def loss_and_grad(pred, target, task: str, class_weights=None):
     labels = np.asarray(target, dtype=np.int64)
     if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
         raise ConfigError(f"logits {logits.shape} do not match {labels.shape[0]} labels")
-    n, c = logits.shape
-    if class_weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(class_weights, dtype=np.float64)[labels]
+    n = logits.shape[0]
     probs = softmax_lastdim(logits)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    total_w = w.sum()
-    value = float(-(w * logp[np.arange(n), labels]).sum() / total_w)
+    value = float(-logp[np.arange(n), labels].sum() / n)
     one_hot = np.zeros_like(logits)
     one_hot[np.arange(n), labels] = 1.0
-    d_logits = (probs - one_hot) * (w / total_w)[:, None]
+    d_logits = (probs - one_hot) * (1.0 / n)
     return value, d_logits

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphs
-from .attention import grpe_scores_fast, grpe_scores_naive, grpe_values
+from .attention import PEMode, _scores_fwd, _values_fwd, split_heads
 from .encodings import init_tables, normalized_laplacian
 from .errors import ConfigError
 from .linalg import jacobi_eigh
@@ -48,8 +48,12 @@ def _table_config(L, num_edge_types, d_z=16, heads=2):
                        pe_mode="grpe")
 
 
+FAST, NAIVE = PEMode("grpe_fast"), PEMode("grpe_naive")
+
+
 def suite_equivalence(cases: int = 200, seed: int = 0) -> SuiteResult:
-    """Fast score/value assembly vs the per-pair double loop."""
+    """Fast score/value assembly vs the per-pair double loop, through the
+    dispatchers the model runs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for case in range(cases):
@@ -63,15 +67,13 @@ def suite_equivalence(cases: int = 200, seed: int = 0) -> SuiteResult:
         t_idx = graphs.topology_indices(graphs.bfs_all_pairs(g), L, True)
         e_idx = graphs.edge_indices(g)
         m = g.num_nodes
-        q = rng.normal(size=(m, cfg.d_z))
-        k = rng.normal(size=(m, cfg.d_z))
-        v = rng.normal(size=(m, cfg.d_z))
-        s_fast = grpe_scores_fast(q, k, t_idx, e_idx, topology, edge, heads=cfg.heads)
-        s_naive = grpe_scores_naive(q, k, t_idx, e_idx, topology, edge, heads=cfg.heads)
+        qh, kh, vh = (split_heads(rng.normal(size=(m, cfg.d_z)), cfg.heads) for _ in range(3))
+        s_fast, _ = _scores_fwd(FAST, qh, kh, t_idx, e_idx, topology, edge, None)
+        s_naive, _ = _scores_fwd(NAIVE, qh, kh, t_idx, e_idx, topology, edge, None)
         worst = max(worst, float(np.abs(s_fast - s_naive).max()))
         attn = softmax_lastdim(rng.normal(size=(cfg.heads, m, m)))
-        z_fast = grpe_values(attn, v, t_idx, e_idx, topology, edge, heads=cfg.heads, fast=True)
-        z_naive = grpe_values(attn, v, t_idx, e_idx, topology, edge, heads=cfg.heads, fast=False)
+        z_fast, _ = _values_fwd(FAST, attn, vh, t_idx, e_idx, topology, edge)
+        z_naive, _ = _values_fwd(NAIVE, attn, vh, t_idx, e_idx, topology, edge)
         worst = max(worst, float(np.abs(z_fast - z_naive).max()))
     return SuiteResult("equivalence", cases, worst, EQUIVALENCE_TOL,
                        worst < EQUIVALENCE_TOL)
@@ -217,12 +219,12 @@ def suite_batching(cases: int = 40, seed: int = 0) -> SuiteResult:
         model.zero_grad()
         alone = []
         for i, prep in enumerate(preps):
-            pred, _, cache = model._run(prep, drop=None if drops is None else [drops[i]])
+            pred, cache = model._run(prep, drop=None if drops is None else [drops[i]])
             model.backward(d_preds[i], cache)
             alone.append(pred)
         grads = {name: p.grad.data.copy() for name, p in model.parameters()}
         model.zero_grad()
-        packed, _, cache = model._run(preps, drop=drops)
+        packed, cache = model._run(preps, drop=drops)
         model.backward(d_preds, cache)
         for a, b in zip(alone, packed):
             worst = max(worst, float(np.abs(np.asarray(a) - np.asarray(b)).max()))
@@ -250,8 +252,8 @@ def suite_reduction(cases: int = 50, seed: int = 0) -> SuiteResult:
         g = random_graph(rng, n, 2, 6, float(rng.uniform(0.1, 0.5)))
         sample = graphs.GraphSample(graph=g, target=0.0)
         pg = m_grpe.prepare(sample)
-        pred_g, _, cache_g = m_grpe._run(pg)
-        pred_p, _, cache_p = m_plain._run(m_plain.prepare(sample))
+        pred_g, cache_g = m_grpe._run(pg)
+        pred_p, cache_p = m_plain._run(m_plain.prepare(sample))
         worst = max(worst, float(np.abs(cache_g["x_final"] - cache_p["x_final"]).max()),
                     abs(pred_g - pred_p))
     return SuiteResult("reduction", cases, worst, REDUCTION_TOL, worst < REDUCTION_TOL)

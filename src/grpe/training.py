@@ -161,7 +161,7 @@ def _target(model: Model, prep):
 
 
 def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
-          class_weights=None, stop_epoch: int | None = None) -> list:
+          stop_epoch: int | None = None) -> list:
     """Train in place; returns one EpochRecord per completed epoch.
 
     The schedule horizon is ``cfg.epochs``; ``stop_epoch`` interrupts the
@@ -206,12 +206,11 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
                 if rate > 0:
                     drops.append(model.draw_dropout(prep.graph.num_nodes, rate, st.rng))
             for group in group_by_size([p.graph.num_nodes for p in preps]):
-                preds, _, cache = model._run([preps[i] for i in group],
-                                             drop=[drops[i] for i in group] if drops else None)
+                preds, cache = model._run([preps[i] for i in group],
+                                          drop=[drops[i] for i in group] if drops else None)
                 d_preds = []
                 for i, pred in zip(group, preds):
-                    value, d_pred = loss_and_grad(pred, _target(model, preps[i]), task,
-                                                  class_weights)
+                    value, d_pred = loss_and_grad(pred, _target(model, preps[i]), task)
                     if not math.isfinite(value):
                         raise NumericError(f"loss diverged (non-finite) at epoch "
                                            f"{epoch + 1}, sample {window[i]}")
@@ -225,7 +224,7 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
         train_loss = math.fsum(sample_losses) / len(sample_losses)
         val_loss = float("nan")
         if val_prepared is not None:
-            val_loss = mean_loss(model, val_prepared, class_weights)
+            val_loss = mean_loss(model, val_prepared)
         st.epochs_done = epoch + 1
         history.append(EpochRecord(epoch + 1, train_loss, val_loss, lr))
         if cfg.stop_at_train_loss is not None and train_loss < cfg.stop_at_train_loss:
@@ -233,13 +232,12 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
     return history
 
 
-def mean_loss(model: Model, prepared, class_weights=None) -> float:
+def mean_loss(model: Model, prepared) -> float:
     values = []
     for group in group_by_size([p.graph.num_nodes for p in prepared]):
         preps = [prepared[i] for i in group]
         for prep, pred in zip(preps, model.forward(preps)):
-            value, _ = loss_and_grad(pred, _target(model, prep), model.config.task,
-                                     class_weights)
+            value, _ = loss_and_grad(pred, _target(model, prep), model.config.task)
             values.append(value)
     return math.fsum(values) / len(values)
 

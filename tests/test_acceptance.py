@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from grpe.attention import (grpe_scores_fast, grpe_scores_naive, grpe_values,
-                            score_dot_counter)
+from grpe.attention import PEMode, _scores_fwd, _values_fwd, score_dot_counter, split_heads
 from grpe.encodings import init_tables, normalized_laplacian
 from grpe.graph import (GraphSample, attach_virtual_node, bfs_all_pairs,
                         edge_indices, permute_sample, topology_indices)
@@ -21,6 +20,9 @@ from grpe.model import ModelConfig, PreparedSample, build_model, loss_and_grad
 from grpe.synthetic import floyd_warshall, make_synthetic, random_graph
 from grpe.tensor import finite_diff_check, softmax_lastdim
 from grpe.training import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
+
+
+FAST, NAIVE = PEMode("grpe_fast"), PEMode("grpe_naive")
 
 
 def report(criterion, detail):
@@ -54,13 +56,13 @@ def test_01_fast_naive_equivalence():
         t_idx = topology_indices(bfs_all_pairs(g), L, has_virtual_node=True)
         e_idx = edge_indices(g)
         m = g.num_nodes
-        q, k, v = (rng.normal(size=(m, 16)) for _ in range(3))
-        s_fast = grpe_scores_fast(q, k, t_idx, e_idx, topology, edge, heads=2)
-        s_naive = grpe_scores_naive(q, k, t_idx, e_idx, topology, edge, heads=2)
+        qh, kh, vh = (split_heads(rng.normal(size=(m, 16)), 2) for _ in range(3))
+        s_fast, _ = _scores_fwd(FAST, qh, kh, t_idx, e_idx, topology, edge, None)
+        s_naive, _ = _scores_fwd(NAIVE, qh, kh, t_idx, e_idx, topology, edge, None)
         worst = max(worst, float(np.abs(s_fast - s_naive).max()))
         attn = softmax_lastdim(rng.normal(size=(2, m, m)))
-        z_fast = grpe_values(attn, v, t_idx, e_idx, topology, edge, heads=2, fast=True)
-        z_naive = grpe_values(attn, v, t_idx, e_idx, topology, edge, heads=2, fast=False)
+        z_fast, _ = _values_fwd(FAST, attn, vh, t_idx, e_idx, topology, edge)
+        z_naive, _ = _values_fwd(NAIVE, attn, vh, t_idx, e_idx, topology, edge)
         worst = max(worst, float(np.abs(z_fast - z_naive).max()))
     elapsed = time.time() - started
     assert worst < 1e-10
@@ -85,8 +87,8 @@ def test_02_zero_table_reduction():
                 p.value.data[...] = 0.0
         g = random_graph(rng, int(rng.integers(2, 12)), 2, 6, float(rng.uniform(0.1, 0.6)))
         s = GraphSample(graph=g, target=0.0)
-        pred_g, _, cache_g = m_grpe._run(m_grpe.prepare(s))
-        pred_n, _, cache_n = m_none._run(m_none.prepare(s))
+        pred_g, cache_g = m_grpe._run(m_grpe.prepare(s))
+        pred_n, cache_n = m_none._run(m_none.prepare(s))
         worst = max(worst,
                     float(np.abs(cache_g["x_final"] - cache_n["x_final"]).max()),
                     abs(pred_g - pred_n))
@@ -297,14 +299,14 @@ def test_09_complexity_dot_product_counts():
     topology, edge, _, _ = init_tables(cfg, 0)
     t_idx = rng.integers(0, L + 4, size=(n, n))
     e_idx = rng.integers(0, e + 3, size=(n, n))
-    q = rng.normal(size=(n, 16))
-    k = rng.normal(size=(n, 16))
+    qh = split_heads(rng.normal(size=(n, 16)), 1)
+    kh = split_heads(rng.normal(size=(n, 16)), 1)
 
     score_dot_counter.reset()
-    s_naive = grpe_scores_naive(q, k, t_idx, e_idx, topology, edge, heads=1)
+    s_naive, _ = _scores_fwd(NAIVE, qh, kh, t_idx, e_idx, topology, edge, None)
     naive_count = score_dot_counter.total
     score_dot_counter.reset()
-    s_fast = grpe_scores_fast(q, k, t_idx, e_idx, topology, edge, heads=1)
+    s_fast, _ = _scores_fwd(FAST, qh, kh, t_idx, e_idx, topology, edge, None)
     fast_count = score_dot_counter.total
 
     assert np.abs(s_fast - s_naive).max() < 1e-10  # counting the same work

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from grpe.attention import (AttentionParams, PEMode, TransformerBlock,
-                            _graphormer_scores_fwd, grpe_scores_fast,
-                            grpe_scores_naive, grpe_values, merge_heads,
-                            mha_forward, score_dot_counter, split_heads)
+                            _graphormer_scores_fwd, _scores_fwd, _values_fwd,
+                            merge_heads, mha_forward, score_dot_counter, split_heads)
 from grpe.encodings import init_tables
 from grpe.errors import ConfigError
 from grpe.graph import (Graph, GraphSample, attach_virtual_node, bfs_all_pairs,
@@ -47,18 +46,29 @@ def attn_params(rng, d_x, d_z, heads):
                            heads=heads)
 
 
-def attention(x, params, kind, t_idx=None, e_idx=None, topo=None, edge=None,
-              want_trace=False):
-    """One attention layer as the model runs it; returns (z, trace)."""
-    z, trace, _ = mha_forward(x, params, PEMode(kind), t_idx, e_idx, topo, edge, None,
-                              want_trace=want_trace)
-    return z, trace
+def attention(x, params, kind, t_idx=None, e_idx=None, topo=None, edge=None):
+    """One attention layer as the model runs it; returns (z, attention map)."""
+    z, cache = mha_forward(x, params, PEMode(kind), t_idx, e_idx, topo, edge, None)
+    return z, cache["attn"]
+
+
+def score_map(q, k, t_idx, e_idx, topo, edge, heads, kind="grpe_fast"):
+    """The model's score dispatch on (N, d_z) queries and keys: (H, N, N)."""
+    scores, _ = _scores_fwd(PEMode(kind), split_heads(q, heads), split_heads(k, heads),
+                            t_idx, e_idx, topo, edge, None)
+    return scores
+
+
+def value_rows(attn, v, t_idx, e_idx, topo, edge, heads, kind="grpe_fast"):
+    """The model's value dispatch on (N, d_z) values: (N, d_z), heads merged."""
+    zh, _ = _values_fwd(PEMode(kind), attn, split_heads(v, heads), t_idx, e_idx, topo, edge)
+    return merge_heads(zh)
 
 
 def graphormer_map(q, k, t_idx, e_idx, gbias, heads):
     """The scalar-bias score kernel on (N, d_z) queries and keys."""
-    scores, _, _ = _graphormer_scores_fwd(split_heads(q, heads), split_heads(k, heads),
-                                          t_idx, e_idx, gbias, False)
+    scores, _ = _graphormer_scores_fwd(split_heads(q, heads), split_heads(k, heads),
+                                       t_idx, e_idx, gbias)
     return scores
 
 
@@ -67,8 +77,8 @@ class TestPlainAttention:
         rng = np.random.default_rng(0)
         params = attn_params(rng, 8, 8, 2)
         x = rng.normal(size=(1, 8))
-        z, trace = attention(x, params, "none", want_trace=True)
-        np.testing.assert_allclose(trace.attn, np.ones((2, 1, 1)))
+        z, attn = attention(x, params, "none")
+        np.testing.assert_allclose(attn, np.ones((2, 1, 1)))
         want = (x @ params.w_value.value.data) @ params.w_out.value.data
         np.testing.assert_allclose(z, want, atol=1e-12)
 
@@ -76,15 +86,15 @@ class TestPlainAttention:
         rng = np.random.default_rng(1)
         params = attn_params(rng, 8, 8, 2)
         x = np.tile(rng.normal(size=(1, 8)), (5, 1))
-        _, trace = attention(x, params, "none", want_trace=True)
-        np.testing.assert_allclose(trace.attn, np.full((2, 5, 5), 0.2), atol=1e-12)
+        _, attn = attention(x, params, "none")
+        np.testing.assert_allclose(attn, np.full((2, 5, 5), 0.2), atol=1e-12)
 
     def test_matches_straight_line_reimplementation(self):
         rng = np.random.default_rng(2)
         d_z, heads, n = 12, 3, 6
         params = attn_params(rng, d_z, d_z, heads)
         x = rng.normal(size=(n, d_z))
-        z, trace = attention(x, params, "none", want_trace=True)
+        z, attn = attention(x, params, "none")
 
         # independent straight-line computation, one head at a time
         dh = d_z // heads
@@ -101,15 +111,15 @@ class TestPlainAttention:
             a = np.exp(s - s.max(axis=1, keepdims=True))
             a /= a.sum(axis=1, keepdims=True)
             z_heads.append(a @ vs)
-            assert np.abs(a - trace.attn[h]).max() < 1e-12
+            assert np.abs(a - attn[h]).max() < 1e-12
         want = np.concatenate(z_heads, axis=1) @ params.w_out.value.data
         assert np.abs(z - want).max() < 1e-12
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         params = attn_params(rng, 8, 8, 4)
-        _, trace = attention(rng.normal(size=(7, 8)), params, "none", want_trace=True)
-        np.testing.assert_allclose(trace.attn.sum(axis=2), 1.0, atol=1e-12)
+        _, attn = attention(rng.normal(size=(7, 8)), params, "none")
+        np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-12)
 
 
 class TestGrpeScores:
@@ -119,19 +129,20 @@ class TestGrpeScores:
         for tables in (topo, edge):
             for p in (tables.query, tables.key, tables.value):
                 p.value.data[...] = 0.0
-        got = grpe_scores_fast(q, k, t_idx, e_idx, topo, edge, heads=2)
+        got = score_map(q, k, t_idx, e_idx, topo, edge, heads=2)
         qh, kh = split_heads(q, 2), split_heads(k, 2)
         plain = (qh @ kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(8))
         np.testing.assert_array_equal(got, plain)
-        naive = grpe_scores_naive(q, k, t_idx, e_idx, topo, edge, heads=2)
+        naive = score_map(q, k, t_idx, e_idx, topo, edge, heads=2, kind="grpe_naive")
         assert np.abs(naive - plain).max() < 1e-12
 
     def test_zero_features_zero_scores(self):
         rng = np.random.default_rng(5)
         topo, edge, t_idx, e_idx, q, k, _ = make_inputs(rng, 6, 3, 2, 16)
         zq, zk = np.zeros_like(q), np.zeros_like(k)
-        for fn in (grpe_scores_naive, grpe_scores_fast):
-            np.testing.assert_array_equal(fn(zq, zk, t_idx, e_idx, topo, edge, heads=2),
+        for kind in ("grpe_naive", "grpe_fast"):
+            np.testing.assert_array_equal(score_map(zq, zk, t_idx, e_idx, topo, edge, heads=2,
+                                                    kind=kind),
                                           np.zeros((2, q.shape[0], q.shape[0])))
 
     def test_fast_equals_naive_randomized(self):
@@ -143,8 +154,8 @@ class TestGrpeScores:
             e = int(rng.choice([1, 4]))
             topo, edge, t_idx, e_idx, q, k, _ = make_inputs(
                 rng, n, L, e, 16, seed=int(rng.integers(0, 1 << 31)))
-            s_f = grpe_scores_fast(q, k, t_idx, e_idx, topo, edge, heads=2)
-            s_n = grpe_scores_naive(q, k, t_idx, e_idx, topo, edge, heads=2)
+            s_f = score_map(q, k, t_idx, e_idx, topo, edge, heads=2)
+            s_n = score_map(q, k, t_idx, e_idx, topo, edge, heads=2, kind="grpe_naive")
             worst = max(worst, float(np.abs(s_f - s_n).max()))
         assert worst < 1e-10
 
@@ -158,7 +169,7 @@ class TestGrpeScores:
         e_idx = np.full((n, n), 1, dtype=np.int64)  # NO_EDGE everywhere
         q = rng.normal(size=(n, 8))
         k = rng.normal(size=(n, 8))
-        got = grpe_scores_fast(q, k, t_idx, e_idx, topo, edge, heads=1)[0]
+        got = score_map(q, k, t_idx, e_idx, topo, edge, heads=1)[0]
         pq = topo.query.value.data[2]
         pk = topo.key.value.data[2]
         eq = edge.query.value.data[1]
@@ -177,7 +188,7 @@ class TestGrpeScores:
         e_idx = np.zeros((n, n), dtype=np.int64)
         q = rng.normal(size=(n, 8))
         k = rng.normal(size=(n, 8))
-        s = grpe_scores_naive(q, k, t_idx, e_idx, topo, edge, heads=1)[0]
+        s = score_map(q, k, t_idx, e_idx, topo, edge, heads=1, kind="grpe_naive")[0]
         dot = (q @ k.T) / math.sqrt(8)
         a_enc = s - dot
         assert abs(a_enc[0, 1] - a_enc[2, 3]) > 1e-3  # feature-dependent
@@ -194,7 +205,7 @@ class TestGrpeValues:
             p.value.data[...] = 0.0
         n = v.shape[0]
         attn = softmax_lastdim(rng.normal(size=(2, n, n)))
-        got = grpe_values(attn, v, t_idx, e_idx, topo, edge, heads=2)
+        got = value_rows(attn, v, t_idx, e_idx, topo, edge, heads=2)
         want = merge_heads(attn @ split_heads(v, 2))
         np.testing.assert_array_equal(got, want)
 
@@ -208,7 +219,7 @@ class TestGrpeValues:
         e_idx = edge_indices(g)
         v = rng.normal(size=(n, 8))
         attn = np.eye(n)[None, :, :]
-        got = grpe_values(attn, v, t_idx, e_idx, topo, edge, heads=1)
+        got = value_rows(attn, v, t_idx, e_idx, topo, edge, heads=1)
         want = v + topo.value.value.data[0] + edge.value.value.data[edge_indices(g)[0, 0]]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -223,8 +234,8 @@ class TestGrpeValues:
                 rng, n, L, e, 16, seed=int(rng.integers(0, 1 << 31)))
             m = v.shape[0]
             attn = softmax_lastdim(rng.normal(size=(2, m, m)))
-            z_f = grpe_values(attn, v, t_idx, e_idx, topo, edge, heads=2, fast=True)
-            z_n = grpe_values(attn, v, t_idx, e_idx, topo, edge, heads=2, fast=False)
+            z_f = value_rows(attn, v, t_idx, e_idx, topo, edge, heads=2)
+            z_n = value_rows(attn, v, t_idx, e_idx, topo, edge, heads=2, kind="grpe_naive")
             worst = max(worst, float(np.abs(z_f - z_n).max()))
         assert worst < 1e-10
 
@@ -300,9 +311,9 @@ class TestMultiHeadAttention:
         q = x @ params.w_query.value.data
         k = x @ params.w_key.value.data
         v = x @ params.w_value.value.data
-        s = grpe_scores_fast(q, k, t_idx, e_idx, topo, edge, heads=1)
+        s = score_map(q, k, t_idx, e_idx, topo, edge, heads=1)
         attn = softmax_lastdim(s)
-        zz = grpe_values(attn, v, t_idx, e_idx, topo, edge, heads=1)
+        zz = value_rows(attn, v, t_idx, e_idx, topo, edge, heads=1)
         want = zz @ params.w_out.value.data
         np.testing.assert_allclose(z, want, atol=1e-14)
 
@@ -315,16 +326,6 @@ class TestMultiHeadAttention:
         z_n, _ = attention(x, params, "grpe_naive", t_idx, e_idx, topo, edge)
         assert np.abs(z_f - z_n).max() < 1e-10
 
-    def test_trace_components_recompose_scores(self):
-        rng = np.random.default_rng(30)
-        topo, edge, t_idx, e_idx, _, _, _ = make_inputs(rng, 6, 3, 2, 16)
-        params = attn_params(rng, 16, 16, 2)
-        x = rng.normal(size=(t_idx.shape[0], 16))
-        _, trace = attention(x, params, "grpe_fast", t_idx, e_idx, topo, edge,
-                             want_trace=True)
-        scores = (trace.dot + trace.topology + trace.edge) / math.sqrt(8)
-        np.testing.assert_allclose(softmax_lastdim(scores), trace.attn, atol=1e-12)
-
     def test_mode_none_equals_plain(self):
         # grpe with every encoding term switched off is plain attention:
         # bit for bit on the fast path, to rounding on the per-pair loop
@@ -334,10 +335,10 @@ class TestMultiHeadAttention:
         x = rng.normal(size=(t_idx.shape[0], 16))
         z_plain, _ = attention(x, params, "none")
         off = dict(use_topology=False, use_edge=False, use_value=False)
-        z_fast, _, _ = mha_forward(x, params, PEMode("grpe_fast", **off),
-                                   t_idx, e_idx, topo, edge, None)
-        z_naive, _, _ = mha_forward(x, params, PEMode("grpe_naive", **off),
-                                    t_idx, e_idx, topo, edge, None)
+        z_fast, _ = mha_forward(x, params, PEMode("grpe_fast", **off),
+                                t_idx, e_idx, topo, edge, None)
+        z_naive, _ = mha_forward(x, params, PEMode("grpe_naive", **off),
+                                 t_idx, e_idx, topo, edge, None)
         np.testing.assert_array_equal(z_fast, z_plain)
         assert np.abs(z_naive - z_plain).max() < 1e-12
 
@@ -358,10 +359,10 @@ class TestDotCounter:
         k = rng.normal(size=(n, 16))
 
         score_dot_counter.reset()
-        grpe_scores_naive(q, k, t_idx, e_idx, topo, edge, heads=1)
+        score_map(q, k, t_idx, e_idx, topo, edge, heads=1, kind="grpe_naive")
         naive_count = score_dot_counter.total
         score_dot_counter.reset()
-        grpe_scores_fast(q, k, t_idx, e_idx, topo, edge, heads=1)
+        score_map(q, k, t_idx, e_idx, topo, edge, heads=1)
         fast_count = score_dot_counter.total
 
         assert naive_count == 4 * n * n
@@ -392,7 +393,7 @@ class TestTransformerBlock:
         topo, edge, t_idx, e_idx, _, _, _ = make_inputs(rng, 6, 3, 2, 16)
         block = self._block(rng, 16, 2, topo, edge, zero_out=True)
         x = rng.normal(size=(t_idx.shape[0], 16))
-        out, _, _ = block.forward(x, PEMode("grpe_fast"), t_idx, e_idx)
+        out, _ = block.forward(x, PEMode("grpe_fast"), t_idx, e_idx)
         np.testing.assert_array_equal(out, x)
 
     def test_gradient_check_through_block(self):
@@ -405,13 +406,13 @@ class TestTransformerBlock:
         mode = PEMode("grpe_fast")
 
         def loss_fn():
-            out, _, _ = block.forward(x, mode, t_idx, e_idx)
+            out, _ = block.forward(x, mode, t_idx, e_idx)
             return float((out * w).sum())
 
         for p in (block.params.attn.w_query, block.params.ffn_w1, topo.query,
                   edge.value, block.params.ln1_gain):
             p.zero_grad()
-        out, _, cache = block.forward(x, mode, t_idx, e_idx)
+        out, cache = block.forward(x, mode, t_idx, e_idx)
         block.backward(w, cache)
         from grpe.tensor import finite_diff_check
         params = [block.params.attn.w_query, block.params.attn.w_out,
@@ -434,11 +435,11 @@ class TestTransformerBlock:
             m = g.num_nodes
             x = rng.normal(size=(m, 16))
             perm = np.concatenate([[0], 1 + rng.permutation(m - 1)])
-            out, _, _ = block.forward(x, PEMode("grpe_fast"), t_idx, e_idx)
-            out_p, _, _ = block.forward(x[np.argsort(perm)],
-                                        PEMode("grpe_fast"),
-                                        t_idx[np.ix_(np.argsort(perm), np.argsort(perm))],
-                                        e_idx[np.ix_(np.argsort(perm), np.argsort(perm))])
+            out, _ = block.forward(x, PEMode("grpe_fast"), t_idx, e_idx)
+            out_p, _ = block.forward(x[np.argsort(perm)],
+                                     PEMode("grpe_fast"),
+                                     t_idx[np.ix_(np.argsort(perm), np.argsort(perm))],
+                                     e_idx[np.ix_(np.argsort(perm), np.argsort(perm))])
             np.testing.assert_allclose(out_p, out[np.argsort(perm)], atol=1e-10)
 
 

@@ -2,18 +2,55 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import grpe
 from grpe import errors
 from grpe.cli import main
+from grpe.model import MAX_TABLE_ROWS
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Caps its own address space, then runs cli.main once per argv list and
+# prints one [exit code or exception name, stderr] pair per run as JSON.
+_CHILD = """
+import contextlib, io, json, resource, sys
+cap = int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from grpe.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = type(exc).__name__
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_memory_capped(argvs, cap_bytes=2 << 30):
+    """Run ``cli.main`` on each argv list in one child process whose address
+    space is capped, so a regression that allocates an oversized table
+    fails there instead of exhausting the test runner."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grpe.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs), str(cap_bytes)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestGenerate:
@@ -331,6 +368,34 @@ class TestInputContract:
         assert code == errors.EXIT_NUMERIC
         assert "'nodes.type_table'" in err
         assert not (tmp_path / "r" / "checkpoint.json").exists()
+
+    def test_oversized_tables_refused_before_allocation(self, data, tmp_path):
+        # each would allocate GiB-sized tables: L=1e9 (477 GiB of topology
+        # rows), an edge type of 1e6 in a one-line graph, a vocabulary of 1e6
+        one_line = tmp_path / "one.jsonl"
+        one_line.write_text('{"nodes":[0,1],"edges":[[0,1,1000000]],"target":0.5}\n')
+        common = ["--layers", "1", "--d-z", "16", "--ffn-dim", "16", "--heads", "2",
+                  "--epochs", "1", "--out", str(tmp_path / "r")]
+        results = run_memory_capped([
+            ["train", "--data", str(data), "--L", "1000000000"] + common,
+            ["train", "--data", str(one_line)] + common,
+            ["train", "--data", str(data), "--node-vocab", "1000000"] + common])
+        for (code, err), field in zip(results, ["L=1000000000", "num_edge_types=1000001",
+                                                "node_vocab=1000000"]):
+            assert code == errors.EXIT_CONFIG, err
+            assert field in err and f"cap of {MAX_TABLE_ROWS}" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_checkpoint_with_oversized_tables_is_io_error(self, data, tmp_path):
+        main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--layers", "1",
+              "--d-z", "16", "--ffn-dim", "16", "--heads", "2", "--epochs", "1"])
+        payload = json.loads((tmp_path / "r" / "checkpoint.json").read_text())
+        payload["config"]["L"] = 1000000000
+        ck = tmp_path / "big.json"
+        ck.write_text(json.dumps(payload))
+        [(code, err)] = run_memory_capped([["eval", "--ckpt", str(ck), "--data", str(data)]])
+        assert code == errors.EXIT_IO, err
+        assert "bad config block" in err and "L=1000000000" in err
 
     def test_selfcheck_zero_cases_is_config_error(self, capsys):
         code, out, err = run(capsys, "selfcheck", "--cases", "0")

@@ -85,10 +85,10 @@ class TestMatmul:
         mode = PEMode("none")
 
         def f():
-            out, _, _ = mha_forward(x, params, mode, None, None, None, None, None)
+            out, _ = mha_forward(x, params, mode, None, None, None, None, None)
             return float((out * w).sum())
 
-        _, _, cache = mha_forward(x, params, mode, None, None, None, None, None)
+        _, cache = mha_forward(x, params, mode, None, None, None, None, None)
         dx = mha_backward(w, cache)
         np.testing.assert_allclose(dx, central_diff(f, x), rtol=1e-6, atol=1e-9)
         for p in (params.w_query, params.w_key, params.w_value, params.w_out):
@@ -201,7 +201,7 @@ class TestElementwise:
         model = build_model(ModelConfig(layers=1, d_z=16, ffn_dim=32, heads=2, L=3,
                                         num_edge_types=1, node_vocab=4))
         x = np.random.default_rng(6).normal(size=(7, 16))
-        _, _, cache = model.blocks[0].forward(x, PEMode("none"), None, None)
+        _, cache = model.blocks[0].forward(x, PEMode("none"), None, None)
         pre, act = cache["pre"], cache["act"]
         assert (pre < 0).any() and (pre > 0).any()
         np.testing.assert_array_equal(act[pre <= 0], 0.0)
