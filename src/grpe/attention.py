@@ -10,8 +10,8 @@ Four score paths share one softmax/value pipeline:
   naive form (verified against it, never trusted on its own);
 * ``graphormer``: feature-independent scalar bucket biases.
 
-All kernels are batched over heads: matrices are split to (H, N, d_h) and
-encoding tables to (H, R, d_h) column blocks, mirroring how q/k/v are
+All kernels are batched over heads: matrices are split to (H, B, N, d_h)
+and encoding tables to (H, R, d_h) column blocks, mirroring how q/k/v are
 sliced. Every forward returns its result and a cache, and has a matching
 backward that reads that cache and accumulates into the shared
 ``Parameter`` gradients; there is no tape. The attention map of a layer
@@ -23,15 +23,15 @@ adds one node-topology or node-edge term per pair to the scores and
 values. The naive kernels spell both terms out per pair, as the
 reference they are checked against.
 
-A group of graphs runs as one pass. Node features are then (B, N, d),
-with every graph padded to the group's largest node count N; per-head
-arrays are (H, B, N, .) and bucket matrices (B, N, N). Padded pairs hold
-bucket 0, and ``key_bias`` adds -inf to the scores of padded keys, so no
-real node attends to padding. Padded rows still compute finite values,
-but every gradient reaching them is an exact zero: the readout reads no
-padded row and a padded key has zero attention weight, so padding adds
-only zeros to every parameter gradient. Without the group axis (a single
-graph) every kernel takes the same arrays minus that axis.
+Every pass runs on a group of graphs, and a single graph is a group of
+one. Node features are (B, N, d), with every graph padded to the group's
+largest node count N; per-head arrays are (H, B, N, .) and bucket
+matrices (B, N, N). Padded pairs hold bucket 0, and ``key_bias`` adds
+-inf to the scores of padded keys, so no real node attends to padding.
+Padded rows still compute finite values, but every gradient reaching
+them is an exact zero: the readout reads no padded row and a padded key
+has zero attention weight, so padding adds only zeros to every parameter
+gradient.
 """
 
 from __future__ import annotations
@@ -100,24 +100,26 @@ class PEMode:
 
 
 # Axis orders that move the head axis to the front and back, by the rank
-# of the split array: (rows, H, d_h) for one graph, (B, rows, H, d_h) for a group.
+# of the split array: (R, H, d_h) for a table, (B, N, H, d_h) for a group.
 _HEADS_FIRST = {3: (1, 0, 2), 4: (2, 0, 1, 3)}
 _HEADS_BACK = {3: (1, 0, 2), 4: (1, 2, 0, 3)}
 
 
 def split_heads(m: np.ndarray, heads: int) -> np.ndarray:
-    """([B,] rows, d_z) -> (H, [B,] rows, d_z / H), contiguous per head."""
+    """(R, d_z) table or (B, N, d_z) group -> (H, R, d_h) or (H, B, N, d_h),
+    d_h = d_z / H, contiguous per head."""
     split = m.reshape(m.shape[:-1] + (heads, m.shape[-1] // heads))
     return np.ascontiguousarray(split.transpose(_HEADS_FIRST[split.ndim]))
 
 
 def merge_heads(m: np.ndarray) -> np.ndarray:
-    """(H, [B,] rows, d_h) -> ([B,] rows, H * d_h); inverse of split_heads."""
+    """(H, R, d_h) -> (R, H * d_h), or (H, B, N, d_h) -> (B, N, H * d_h);
+    inverse of split_heads."""
     return m.transpose(_HEADS_BACK[m.ndim]).reshape(m.shape[1:-1] + (-1,))
 
 
 def _rows(m: np.ndarray) -> np.ndarray:
-    """(H, ..., N, k) -> (H, rows, k): every graph's nodes as one row block."""
+    """(H, B, N, k) -> (H, B * N, k): every graph's nodes as one row block."""
     return m.reshape(m.shape[0], -1, m.shape[-1])
 
 
@@ -128,8 +130,8 @@ def _fold_table_grad(param: Parameter, d_split: np.ndarray):
 # ---------------------------------------------------------------------------
 # bucket gathers and scatters over flat positions
 #
-# A per-node bucket table (H, [B,] N, R) is read per pair (i, j) at node i
-# (the query side) or node j (the key side) and bucket idx[i, j]. Flattening
+# A per-node bucket table (H, B, N, R) is read per pair (b, i, j) at node i
+# (the query side) or node j (the key side) and bucket idx[b, i, j]. Flattening
 # each head's table to one row turns that into one 1-D position per pair, so
 # a gather is one ``np.take`` and its adjoint scatter one ``np.bincount``.
 # Positions are rebuilt per call rather than cached: they cost about as much
@@ -137,16 +139,16 @@ def _fold_table_grad(param: Parameter, d_split: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _bucket_positions(idx: np.ndarray, buckets: int, by_key: bool) -> np.ndarray:
-    """Raveled ``node * buckets + idx[.., i, j]`` over ([B,] N, N), where
-    node counts through the group: ``b * N + i`` (query) or ``b * N + j`` (key)."""
+    """Raveled ``node * buckets + idx[b, i, j]`` over (B, N, N), where node
+    counts through the group: ``b * N + i`` (query) or ``b * N + j`` (key)."""
     n = idx.shape[-1]
     node = np.arange(0, idx.size // n * buckets, buckets)
     return (node.reshape((-1, 1, n) if by_key else (-1, n, 1)) + idx).ravel()
 
 
 def _gather_buckets(table: np.ndarray, idx: np.ndarray, by_key: bool = False) -> np.ndarray:
-    """(H, [B,] N, R) per-node bucket table -> (H, [B,] N, N) values
-    ``table[h, i, idx[i, j]]``, or ``table[h, j, idx[i, j]]`` when ``by_key``."""
+    """(H, B, N, R) per-node bucket table -> (H, B, N, N) values
+    ``table[h, b, i, idx[b, i, j]]``, or ``table[h, b, j, idx[b, i, j]]`` when ``by_key``."""
     heads = table.shape[0]
     pos = _bucket_positions(idx, table.shape[-1], by_key)
     return table.reshape(heads, -1).take(pos, axis=1).reshape((heads,) + idx.shape)
@@ -167,7 +169,7 @@ def _bucket_sums(pairs: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
 
 def _scatter_buckets(pairs: np.ndarray, idx: np.ndarray, buckets: int,
                      by_key: bool = False) -> np.ndarray:
-    """Adjoint of ``_gather_buckets``: (H, [B,] N, N) -> (H, [B,] N, R) bucket sums."""
+    """Adjoint of ``_gather_buckets``: (H, B, N, N) -> (H, B, N, R) bucket sums."""
     heads = pairs.shape[0]
     pos = _bucket_positions(idx, buckets, by_key)
     sums = _bucket_sums(pairs, pos, idx.size // idx.shape[-1] * buckets)
@@ -191,44 +193,30 @@ def _plain_scores_bwd(d_scores, cache):
     return dqh, dkh
 
 
-def _as_group(m: np.ndarray, heads_first: bool) -> np.ndarray:
-    """A view with an explicit group axis: (H, B, N, .) or (B, N, N)."""
-    if heads_first:
-        return m.reshape(m.shape[0], -1, *m.shape[-2:])
-    return m.reshape(-1, *m.shape[-2:])
-
-
 def _grpe_scores_naive_fwd(qh, kh, t_idx, e_idx, topology, edge, mode):
-    heads, dh = qh.shape[0], qh.shape[-1]
+    heads, groups, n, dh = qh.shape
     scale = 1.0 / math.sqrt(dh)
     pq = split_heads(topology.query.value.data, heads) if mode.use_topology else None
     pk = split_heads(topology.key.value.data, heads) if mode.use_topology else None
     eq = split_heads(edge.query.value.data, heads) if mode.use_edge else None
     ek = split_heads(edge.key.value.data, heads) if mode.use_edge else None
 
-    shape = qh.shape[:-1] + qh.shape[-2:-1]
+    shape = (heads, groups, n, n)
     dot = np.zeros(shape)
     topo_term = np.zeros(shape) if mode.use_topology else None
     edge_term = np.zeros(shape) if mode.use_edge else None
-    q4, k4 = _as_group(qh, True), _as_group(kh, True)
-    dot4 = _as_group(dot, True)
-    topo4 = _as_group(topo_term, True) if mode.use_topology else None
-    edge4 = _as_group(edge_term, True) if mode.use_edge else None
-    for b in range(q4.shape[1]):
-        t_b = _as_group(t_idx, False)[b] if mode.use_topology else None
-        e_b = _as_group(e_idx, False)[b] if mode.use_edge else None
-        n = q4.shape[2]
+    for b in range(groups):
         for h in range(heads):
-            q, k = q4[h, b], k4[h, b]
+            q, k = qh[h, b], kh[h, b]
             for i in range(n):
                 for j in range(n):
-                    dot4[h, b, i, j] = np.dot(q[i], k[j])
+                    dot[h, b, i, j] = np.dot(q[i], k[j])
                     if mode.use_topology:
-                        t = t_b[i, j]
-                        topo4[h, b, i, j] = np.dot(q[i], pq[h][t]) + np.dot(k[j], pk[h][t])
+                        t = t_idx[b, i, j]
+                        topo_term[h, b, i, j] = np.dot(q[i], pq[h][t]) + np.dot(k[j], pk[h][t])
                     if mode.use_edge:
-                        e = e_b[i, j]
-                        edge4[h, b, i, j] = np.dot(q[i], eq[h][e]) + np.dot(k[j], ek[h][e])
+                        e = e_idx[b, i, j]
+                        edge_term[h, b, i, j] = np.dot(q[i], eq[h][e]) + np.dot(k[j], ek[h][e])
     pairs = dot.size // heads
     if mode.use_topology:
         score_dot_counter.add(2 * heads * pairs)
@@ -251,39 +239,34 @@ def _grpe_scores_naive_bwd(d_scores, cache):
     qh, kh = cache["qh"], cache["kh"]
     mode = cache["mode"]
     pq, pk, eq, ek = cache["pq"], cache["pk"], cache["eq"], cache["ek"]
-    heads = qh.shape[0]
+    heads, groups, n, _ = qh.shape
+    t_idx, e_idx = cache["t_idx"], cache["e_idx"]
     dqh = np.zeros_like(qh)
     dkh = np.zeros_like(kh)
     dpq = np.zeros_like(pq) if mode.use_topology else None
     dpk = np.zeros_like(pk) if mode.use_topology else None
     deq = np.zeros_like(eq) if mode.use_edge else None
     dek = np.zeros_like(ek) if mode.use_edge else None
-    q4, k4 = _as_group(qh, True), _as_group(kh, True)
-    dq4, dk4 = _as_group(dqh, True), _as_group(dkh, True)
-    ds4 = _as_group(d_scores, True)
-    for b in range(q4.shape[1]):
-        t_b = _as_group(cache["t_idx"], False)[b] if mode.use_topology else None
-        e_b = _as_group(cache["e_idx"], False)[b] if mode.use_edge else None
-        n = q4.shape[2]
+    for b in range(groups):
         for h in range(heads):
-            q, k = q4[h, b], k4[h, b]
+            q, k = qh[h, b], kh[h, b]
             for i in range(n):
                 for j in range(n):
-                    g = ds4[h, b, i, j] * cache["scale"]
+                    g = d_scores[h, b, i, j] * cache["scale"]
                     if g == 0.0:
                         continue
-                    dq4[h, b, i] += g * k[j]
-                    dk4[h, b, j] += g * q[i]
+                    dqh[h, b, i] += g * k[j]
+                    dkh[h, b, j] += g * q[i]
                     if mode.use_topology:
-                        t = t_b[i, j]
-                        dq4[h, b, i] += g * pq[h][t]
-                        dk4[h, b, j] += g * pk[h][t]
+                        t = t_idx[b, i, j]
+                        dqh[h, b, i] += g * pq[h][t]
+                        dkh[h, b, j] += g * pk[h][t]
                         dpq[h][t] += g * q[i]
                         dpk[h][t] += g * k[j]
                     if mode.use_edge:
-                        e = e_b[i, j]
-                        dq4[h, b, i] += g * eq[h][e]
-                        dk4[h, b, j] += g * ek[h][e]
+                        e = e_idx[b, i, j]
+                        dqh[h, b, i] += g * eq[h][e]
+                        dkh[h, b, j] += g * ek[h][e]
                         deq[h][e] += g * q[i]
                         dek[h][e] += g * k[j]
     if mode.use_topology:
@@ -338,7 +321,7 @@ def _graphormer_scores_fwd(qh, kh, t_idx, e_idx, gbias):
     scale = 1.0 / math.sqrt(dh)
     dot = qh @ kh.swapaxes(-1, -2)
     b = gbias.b.value.data
-    topo_term = b.T.take(t_idx, axis=1)                   # (H, [B,] N, N)
+    topo_term = b.T.take(t_idx, axis=1)                   # (H, B, N, N)
     ew = gbias.edge_emb.value.data @ gbias.w.value.data   # (E + 3, H or 1)
     edge_term = ew.T.take(e_idx, axis=1)
     if gbias.shared_w:
@@ -366,7 +349,7 @@ def _graphormer_scores_bwd(d_scores, cache):
 
 
 def _scores_fwd(mode, qh, kh, t_idx, e_idx, topology, edge, gbias):
-    """(H, [B,] N, N) scaled scores and the cache ``_scores_bwd`` reads."""
+    """(H, B, N, N) scaled scores and the cache ``_scores_bwd`` reads."""
     if mode.kind == "none":
         return _plain_scores_fwd(qh, kh)
     if mode.kind == "grpe_naive":
@@ -431,20 +414,18 @@ def _grpe_values_fast_bwd(d_zh, cache):
 
 
 def _grpe_values_naive_fwd(attn, vh, t_idx, e_idx, topology, edge):
-    heads = attn.shape[0]
+    heads, groups, n, dh = vh.shape
     pv = split_heads(topology.value.value.data, heads)
     ev = split_heads(edge.value.value.data, heads)
     zh = np.zeros_like(vh)
-    a4, v4, z4 = _as_group(attn, True), _as_group(vh, True), _as_group(zh, True)
-    for b in range(a4.shape[1]):
-        t_b, e_b = _as_group(t_idx, False)[b], _as_group(e_idx, False)[b]
-        n = a4.shape[2]
+    for b in range(groups):
         for h in range(heads):
             for i in range(n):
-                acc = np.zeros(v4.shape[3])
+                acc = np.zeros(dh)
                 for j in range(n):
-                    acc += a4[h, b, i, j] * (v4[h, b, j] + pv[h][t_b[i, j]] + ev[h][e_b[i, j]])
-                z4[h, b, i] = acc
+                    acc += attn[h, b, i, j] * (vh[h, b, j] + pv[h][t_idx[b, i, j]]
+                                               + ev[h][e_idx[b, i, j]])
+                zh[h, b, i] = acc
     cache = {"kind": "grpe_naive", "attn": attn, "vh": vh, "t_idx": t_idx, "e_idx": e_idx,
              "topology": topology, "edge": edge, "pv": pv, "ev": ev}
     return zh, cache
@@ -453,25 +434,21 @@ def _grpe_values_naive_fwd(attn, vh, t_idx, e_idx, topology, edge):
 def _grpe_values_naive_bwd(d_zh, cache):
     attn, vh = cache["attn"], cache["vh"]
     pv, ev = cache["pv"], cache["ev"]
-    heads = attn.shape[0]
+    heads, groups, n, _ = vh.shape
+    t_idx, e_idx = cache["t_idx"], cache["e_idx"]
     d_attn = np.zeros_like(attn)
     d_vh = np.zeros_like(vh)
     dpv = np.zeros_like(pv)
     dev = np.zeros_like(ev)
-    a4, v4, g4 = _as_group(attn, True), _as_group(vh, True), _as_group(d_zh, True)
-    da4, dv4 = _as_group(d_attn, True), _as_group(d_vh, True)
-    for b in range(a4.shape[1]):
-        t_b = _as_group(cache["t_idx"], False)[b]
-        e_b = _as_group(cache["e_idx"], False)[b]
-        n = a4.shape[2]
+    for b in range(groups):
         for h in range(heads):
             for i in range(n):
-                g = g4[h, b, i]
+                g = d_zh[h, b, i]
                 for j in range(n):
-                    t, e = t_b[i, j], e_b[i, j]
-                    da4[h, b, i, j] = np.dot(g, v4[h, b, j] + pv[h][t] + ev[h][e])
-                    a = a4[h, b, i, j]
-                    dv4[h, b, j] += a * g
+                    t, e = t_idx[b, i, j], e_idx[b, i, j]
+                    d_attn[h, b, i, j] = np.dot(g, vh[h, b, j] + pv[h][t] + ev[h][e])
+                    a = attn[h, b, i, j]
+                    d_vh[h, b, j] += a * g
                     dpv[h][t] += a * g
                     dev[h][e] += a * g
     _fold_table_grad(cache["topology"].value, dpv)
@@ -501,12 +478,13 @@ def _values_bwd(d_zh, cache):
 
 def mha_forward(x: np.ndarray, params: AttentionParams, mode: PEMode,
                 topo_idx, edge_idx, topology, edge, gbias, key_bias=None):
-    """Attention over (N, d_x) node features, or a padded (B, N, d_x) group
-    whose ``key_bias`` (B, 1, N) is -inf on padded keys and 0 elsewhere.
+    """Attention over a padded (B, N, d_x) group of node features.
+    ``key_bias`` is None when no graph is padded, else (B, 1, N): -inf on
+    padded keys and 0 elsewhere.
 
-    Returns ``(out, cache)``; ``cache["attn"]`` is the (H, [B,] N, N)
+    Returns ``(out, cache)``; ``cache["attn"]`` is the (H, B, N, N)
     attention map, rows summing to 1."""
-    if x.ndim not in (2, 3) or x.shape[-1] != params.w_query.shape[0]:
+    if x.ndim != 3 or x.shape[-1] != params.w_query.shape[0]:
         raise ShapeError(f"attention input {x.shape} does not match W ({params.w_query.shape})")
     h = params.heads
     x_rows = x.reshape(-1, x.shape[-1])
@@ -585,7 +563,7 @@ class TransformerBlock:
 
     def forward(self, x: np.ndarray, mode: PEMode, topo_idx, edge_idx,
                 key_bias=None, drop=None):
-        """``x`` is (N, d) or a padded (B, N, d) group (see ``mha_forward``).
+        """``x`` is a padded (B, N, d) group (see ``mha_forward``).
         ``drop`` is None or the (attention, FFN) dropout masks, each shaped
         like ``x`` and already scaled by 1 / (1 - rate)."""
         p = self.params

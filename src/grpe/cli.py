@@ -82,9 +82,6 @@ def _check_file_types(file_cfg: dict, cls):
 def _merge(defaults: dict, file_cfg: dict, flag_values: dict) -> dict:
     """Flag values (when given) beat the config file, which beats defaults."""
     merged = dict(defaults)
-    unknown = set(file_cfg) - set(defaults)
-    if unknown:
-        raise ConfigError(f"config file has unknown keys: {sorted(unknown)}")
     merged.update(file_cfg)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
     return merged
@@ -126,34 +123,25 @@ def _infer_task(samples) -> str:
     return "node_classification" if samples[0].is_node_task else "graph_regression"
 
 
-def _model_config_from_args(args, task: str, num_edge_types: int) -> ModelConfig:
+def _model_config_from_args(args, file_cfg: dict, task: str,
+                            num_edge_types: int) -> ModelConfig:
     defaults = asdict(ModelConfig(**PRESETS["tiny"]))  # every field may come from the file
     defaults.update(num_edge_types=num_edge_types, task=task, num_classes=NUM_DEGREE_CLASSES)
-    file_cfg = _load_config_file(args.config)
     known_model = set(ModelConfig.__dataclass_fields__)
     file_model = {k: v for k, v in file_cfg.items() if k in known_model}
     unknown = set(file_cfg) - known_model - set(TrainConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"config file has unknown keys: {sorted(unknown)}")
     _check_file_types(file_model, ModelConfig)
-    flags = {}
-    if getattr(args, "preset", None):
-        flags.update(PRESETS[args.preset])
+    flags = dict(PRESETS[args.preset]) if args.preset else {}
     # explicit architecture flags override the preset
     flags.update({k: v for k, v in {
-        "layers": getattr(args, "layers", None),
-        "d_z": getattr(args, "d_z", None),
-        "ffn_dim": getattr(args, "ffn_dim", None),
-        "heads": getattr(args, "heads", None),
-        "L": args.L,
-        "pe_mode": args.pe,
-        "seed": args.seed,
-        "node_vocab": getattr(args, "node_vocab", None),
+        "layers": args.layers, "d_z": args.d_z, "ffn_dim": args.ffn_dim,
+        "heads": args.heads, "L": args.L, "pe_mode": args.pe, "seed": args.seed,
+        "node_vocab": args.node_vocab, "use_degree": args.use_degree,
     }.items() if v is not None})
-    if getattr(args, "naive", False):
+    if args.naive:
         flags["fast"] = False
-    if getattr(args, "use_degree", None) is not None:
-        flags["use_degree"] = args.use_degree
     merged = _merge(defaults, file_model, flags)
     if merged["pe_mode"] == "graphormer" and "use_degree" not in {**file_model, **flags}:
         merged["use_degree"] = True  # the scalar-bias baseline reads degrees by default
@@ -181,8 +169,9 @@ def cmd_train(args) -> int:
     val = parse_graphs(args.val) if args.val else None
     task = _infer_task(samples)
     data_e = max(s.graph.num_edge_types for s in samples)
-    mcfg = _model_config_from_args(args, task, num_edge_types=max(data_e, 1))
-    tcfg = _train_config_from_args(args, _load_config_file(args.config))
+    file_cfg = _load_config_file(args.config)
+    mcfg = _model_config_from_args(args, file_cfg, task, num_edge_types=max(data_e, 1))
+    tcfg = _train_config_from_args(args, file_cfg)
     _echo("model", asdict(mcfg))
     _echo("train", asdict(tcfg))
 
@@ -243,7 +232,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("gradcheck graphs are capped at 8 nodes")
     if args.seed is None:
         args.seed = 0
-    mcfg = _model_config_from_args(args, "graph_regression", num_edge_types=args.edge_types)
+    mcfg = _model_config_from_args(args, _load_config_file(args.config), "graph_regression",
+                                   num_edge_types=args.edge_types)
     _echo("model", asdict(mcfg))
     model = build_model(mcfg)
     rng = np.random.default_rng(args.seed)
@@ -340,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--node-vocab", type=int, default=8, dest="node_vocab")
     gen.set_defaults(func=cmd_generate)
 
-    def add_model_flags(p, with_arch=True):
+    def add_model_flags(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--preset", choices=sorted(PRESETS), default=None)
@@ -350,16 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
         speed.add_argument("--fast", action="store_true", default=True)
         speed.add_argument("--naive", dest="naive", action="store_true", default=False)
         p.add_argument("--L", type=int, default=None)
-        if with_arch:
-            p.add_argument("--layers", type=int, default=None)
-            p.add_argument("--d-z", type=int, default=None, dest="d_z")
-            p.add_argument("--ffn-dim", type=int, default=None, dest="ffn_dim")
-            p.add_argument("--heads", type=int, default=None)
-            p.add_argument("--node-vocab", type=int, default=None, dest="node_vocab")
-            degree = p.add_mutually_exclusive_group()
-            degree.add_argument("--use-degree", dest="use_degree", action="store_true",
-                                default=None)
-            degree.add_argument("--no-degree", dest="use_degree", action="store_false")
+        p.add_argument("--layers", type=int, default=None)
+        p.add_argument("--d-z", type=int, default=None, dest="d_z")
+        p.add_argument("--ffn-dim", type=int, default=None, dest="ffn_dim")
+        p.add_argument("--heads", type=int, default=None)
+        p.add_argument("--node-vocab", type=int, default=None, dest="node_vocab")
+        degree = p.add_mutually_exclusive_group()
+        degree.add_argument("--use-degree", dest="use_degree", action="store_true",
+                            default=None)
+        degree.add_argument("--no-degree", dest="use_degree", action="store_false")
 
     tr = sub.add_parser("train", help="train a model on a graph file")
     tr.add_argument("--data", required=True)

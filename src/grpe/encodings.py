@@ -22,17 +22,9 @@ DEGREE_CLAMP = 64  # degrees at or above this share the last row
 
 
 @dataclass
-class TopologyTables:
-    """Query/key/value rows per topology bucket, each (L + 4) x d_z."""
-
-    query: Parameter
-    key: Parameter
-    value: Parameter
-
-
-@dataclass
-class EdgeTables:
-    """Query/key/value rows per edge bucket, each (E + 3) x d_z."""
+class BucketTables:
+    """Query/key/value rows per bucket, each R x d_z: R = L + 4 topology
+    buckets or E + 3 edge buckets."""
 
     query: Parameter
     key: Parameter
@@ -93,12 +85,8 @@ def init_tables(config, seed):
 
     n_topo = graphs.topo_bucket_count(config.L)
     n_edge = graphs.edge_bucket_count(config.num_edge_types)
-    topology = TopologyTables(query=_draw(rng, n_topo, config.d_z),
-                              key=_draw(rng, n_topo, config.d_z),
-                              value=_draw(rng, n_topo, config.d_z))
-    edge = EdgeTables(query=_draw(rng, n_edge, config.d_z),
-                      key=_draw(rng, n_edge, config.d_z),
-                      value=_draw(rng, n_edge, config.d_z))
+    topology = BucketTables(*(_draw(rng, n_topo, config.d_z) for _ in range(3)))
+    edge = BucketTables(*(_draw(rng, n_edge, config.d_z) for _ in range(3)))
     nodes = NodeEmbeddings(type_table=_draw(rng, config.node_vocab + 1, config.d_z),
                            degree_table=_draw(rng, DEGREE_CLAMP, config.d_z))
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import graph as graphs
 from .attention import AttentionParams, BlockParams, PEMode, TransformerBlock
-from .encodings import (NodeEmbeddings, embed_nodes, embed_nodes_backward,
+from .encodings import (DEGREE_CLAMP, NodeEmbeddings, embed_nodes, embed_nodes_backward,
                         init_tables, laplacian_pe)
 from .errors import ConfigError, NumericError
 from .tensor import Parameter, softmax_lastdim
@@ -33,6 +33,9 @@ INIT_STD = 0.02
 # Most rows any bucket or type table may have. A config asking for more is
 # refused before a table, its gradient and its Adam moments are allocated.
 MAX_TABLE_ROWS = 1024
+# Most parameters a model may have (the small preset has 478,241). A config
+# implying more is refused before anything is allocated.
+MAX_PARAMETERS = 2 ** 24
 
 
 @dataclass
@@ -82,6 +85,23 @@ class ModelConfig:
             if rows > MAX_TABLE_ROWS:
                 raise ConfigError(f"{field}={getattr(self, field)} needs a table of {rows} "
                                   f"rows, above the cap of {MAX_TABLE_ROWS}")
+        count = self.num_parameters()
+        if count > MAX_PARAMETERS:
+            raise ConfigError(f"the model would have {count} parameters, above the cap "
+                              f"of {MAX_PARAMETERS}")
+
+    def num_parameters(self) -> int:
+        """Parameter count of the model ``build_model`` makes from this config."""
+        d, f = self.d_z, self.ffn_dim
+        topo = graphs.topo_bucket_count(self.L)
+        edge = graphs.edge_bucket_count(self.num_edge_types)
+        count = (self.node_vocab + 1 + DEGREE_CLAMP + 3 * (topo + edge)) * d
+        if self.pe_mode == "graphormer":
+            count += topo * self.heads + edge * d + d * (1 if self.graphormer_shared_w
+                                                         else self.heads)
+        count += self.layers * (4 * d * d + 2 * d * f + f + 5 * d)
+        out = 1 if self.task == "graph_regression" else self.num_classes
+        return count + (d + 1) * out
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "ModelConfig":
@@ -211,11 +231,10 @@ class Model:
         """Forward over one prepared sample, or over a list of them run as
         one padded group (see ``attention``); returns ``(prediction, cache)``.
 
-        A single sample's prediction is one value, a group's a list of them
-        in group order. A group of one runs on the graph's own (N, d) arrays,
-        without a group axis. ``drop`` is None or one ``draw_dropout`` entry
-        per graph. ``cache["blocks"]`` holds each block's cache, and with it
-        that layer's attention map.
+        A single sample runs as a group of one; its prediction is one value,
+        a group's a list of them in group order. ``drop`` is None or one
+        ``draw_dropout`` entry per graph. ``cache["blocks"]`` holds each
+        block's cache, and with it that layer's attention map.
         """
         cfg = self.config
         single = isinstance(group, PreparedSample)
@@ -228,32 +247,26 @@ class Model:
         for p in preps:
             emb = embed_nodes(p.graph, self.nodes, cfg.use_degree)
             rows.append(emb if p.input_pe is None else emb + p.input_pe)
+        x = _pad_rows(rows, n)
         mode = cfg.attention_mode()
         t_idx = e_idx = key_bias = None
-        if len(preps) == 1:
-            x, t_idx, e_idx = rows[0], preps[0].topo_idx, preps[0].edge_idx
-        else:
-            x = _pad_rows(rows, n)
-            if mode.kind != "none":
-                t_idx = _pad_pairs([p.topo_idx for p in preps], n)
-                e_idx = _pad_pairs([p.edge_idx for p in preps], n)
-            if min(sizes) < n:
-                key_bias = _key_bias(sizes, n)
+        if mode.kind != "none":
+            t_idx = _pad_pairs([p.topo_idx for p in preps], n)
+            e_idx = _pad_pairs([p.edge_idx for p in preps], n)
+        if min(sizes) < n:
+            key_bias = _key_bias(sizes, n)
         block_caches = []
         for layer, blk in enumerate(self.blocks):
             masks = None
-            if drop is not None:
-                per_graph = [d[layer] for d in drop]  # (attention, FFN) masks per graph
-                masks = per_graph[0] if len(preps) == 1 else \
-                    tuple(_pad_rows([m[k] for m in per_graph], n) for k in (0, 1))
+            if drop is not None:  # (attention, FFN) masks per graph
+                masks = tuple(_pad_rows([d[layer][k] for d in drop], n) for k in (0, 1))
             x, cache = blk.forward(x, mode, t_idx, e_idx, key_bias=key_bias, drop=masks)
             block_caches.append(cache)
-        x3 = x.reshape(len(preps), n, cfg.d_z)
         if cfg.task == "graph_regression":
-            values = x3[:, 0] @ self.head_w.value.data[:, 0] + self.head_b.value.data[0]
+            values = x[:, 0] @ self.head_w.value.data[:, 0] + self.head_b.value.data[0]
             preds = [float(v) for v in values]
         else:
-            logits = x3[:, 1:] @ self.head_w.value.data + self.head_b.value.data
+            logits = x[:, 1:] @ self.head_w.value.data + self.head_b.value.data
             preds = [logits[b, :size - 1] for b, size in enumerate(sizes)]
         cache = {"preps": preps, "sizes": sizes, "single": single,
                  "blocks": block_caches, "x_final": x}
@@ -262,13 +275,14 @@ class Model:
     def forward(self, prep, want_trace: bool = False):
         """Prediction for one prepared sample, or a list of them for a group.
 
-        With ``want_trace`` it returns ``(prediction, maps)``: one
-        (H, [B,] N, N) attention map per layer, rows summing to 1 and
-        padded keys of a group weighted exactly 0."""
+        With ``want_trace`` it returns ``(prediction, maps)``: one attention
+        map per layer, (H, N, N) for one sample and (H, B, N, N) for a
+        group, rows summing to 1 and padded keys of a group weighted exactly 0."""
         pred, cache = self._run(prep)
         if not want_trace:
             return pred
-        return pred, [blk["mha_cache"]["attn"] for blk in cache["blocks"]]
+        maps = [blk["mha_cache"]["attn"] for blk in cache["blocks"]]
+        return pred, ([m[:, 0] for m in maps] if cache["single"] else maps)
 
     def forward_with_cache(self, prep):
         return self._run(prep)
@@ -288,23 +302,21 @@ class Model:
         (a list, one per graph, when the forward ran a group)."""
         x, sizes = cache["x_final"], cache["sizes"]
         d_preds = [d_pred] if cache["single"] else d_pred
-        x3 = x.reshape(len(sizes), -1, x.shape[-1])
-        d_x = np.zeros_like(x3)
+        d_x = np.zeros_like(x)
         if self.config.task == "graph_regression":
             g = np.array([float(v) for v in d_preds])
-            self.head_w.grad.data[:, 0] += g @ x3[:, 0]
+            self.head_w.grad.data[:, 0] += g @ x[:, 0]
             self.head_b.grad.data[0] += g.sum()
             d_x[:, 0] = g[:, None] * self.head_w.value.data[:, 0]
         else:
-            d_logits = _pad_rows([np.asarray(d) for d in d_preds], x3.shape[1] - 1)
+            d_logits = _pad_rows([np.asarray(d) for d in d_preds], x.shape[1] - 1)
             flat = d_logits.reshape(-1, d_logits.shape[-1])
-            self.head_w.grad.data += x3[:, 1:].reshape(len(flat), -1).T @ flat
+            self.head_w.grad.data += x[:, 1:].reshape(len(flat), -1).T @ flat
             self.head_b.grad.data += flat.sum(axis=0)
             d_x[:, 1:] = d_logits @ self.head_w.value.data.T
-        d_x = d_x.reshape(x.shape)
         for blk, blk_cache in zip(reversed(self.blocks), reversed(cache["blocks"])):
             d_x = blk.backward(d_x, blk_cache)
-        for d_rows, p, size in zip(d_x.reshape(x3.shape), cache["preps"], sizes):
+        for d_rows, p, size in zip(d_x, cache["preps"], sizes):
             embed_nodes_backward(d_rows[:size], p.graph, self.nodes, self.config.use_degree)
 
 

@@ -53,7 +53,7 @@ FAST, NAIVE = PEMode("grpe_fast"), PEMode("grpe_naive")
 
 def suite_equivalence(cases: int = 200, seed: int = 0) -> SuiteResult:
     """Fast score/value assembly vs the per-pair double loop, through the
-    dispatchers the model runs."""
+    dispatchers the model runs, on one graph as a group of one."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for case in range(cases):
@@ -64,14 +64,14 @@ def suite_equivalence(cases: int = 200, seed: int = 0) -> SuiteResult:
         topology, edge, _, _ = init_tables(cfg, int(rng.integers(0, 2 ** 31)))
         g = graphs.attach_virtual_node(
             random_graph(rng, n, e_types, cfg.node_vocab, float(rng.uniform(0.1, 0.5))))
-        t_idx = graphs.topology_indices(graphs.bfs_all_pairs(g), L, True)
-        e_idx = graphs.edge_indices(g)
+        t_idx = graphs.topology_indices(graphs.bfs_all_pairs(g), L, True)[None]
+        e_idx = graphs.edge_indices(g)[None]
         m = g.num_nodes
-        qh, kh, vh = (split_heads(rng.normal(size=(m, cfg.d_z)), cfg.heads) for _ in range(3))
+        qh, kh, vh = (split_heads(rng.normal(size=(1, m, cfg.d_z)), cfg.heads) for _ in range(3))
         s_fast, _ = _scores_fwd(FAST, qh, kh, t_idx, e_idx, topology, edge, None)
         s_naive, _ = _scores_fwd(NAIVE, qh, kh, t_idx, e_idx, topology, edge, None)
         worst = max(worst, float(np.abs(s_fast - s_naive).max()))
-        attn = softmax_lastdim(rng.normal(size=(cfg.heads, m, m)))
+        attn = softmax_lastdim(rng.normal(size=(cfg.heads, 1, m, m)))
         z_fast, _ = _values_fwd(FAST, attn, vh, t_idx, e_idx, topology, edge)
         z_naive, _ = _values_fwd(NAIVE, attn, vh, t_idx, e_idx, topology, edge)
         worst = max(worst, float(np.abs(z_fast - z_naive).max()))

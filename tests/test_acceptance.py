@@ -53,14 +53,14 @@ def test_01_fast_naive_equivalence():
                           num_edge_types=e, node_vocab=4, pe_mode="grpe")
         topology, edge, _, _ = init_tables(cfg, int(rng.integers(0, 1 << 31)))
         g = attach_virtual_node(random_graph(rng, n, e, 4, float(rng.uniform(0.1, 0.6))))
-        t_idx = topology_indices(bfs_all_pairs(g), L, has_virtual_node=True)
-        e_idx = edge_indices(g)
-        m = g.num_nodes
-        qh, kh, vh = (split_heads(rng.normal(size=(m, 16)), 2) for _ in range(3))
+        t_idx = topology_indices(bfs_all_pairs(g), L, has_virtual_node=True)[None]
+        e_idx = edge_indices(g)[None]
+        m = g.num_nodes  # one graph, run as a group of one
+        qh, kh, vh = (split_heads(rng.normal(size=(1, m, 16)), 2) for _ in range(3))
         s_fast, _ = _scores_fwd(FAST, qh, kh, t_idx, e_idx, topology, edge, None)
         s_naive, _ = _scores_fwd(NAIVE, qh, kh, t_idx, e_idx, topology, edge, None)
         worst = max(worst, float(np.abs(s_fast - s_naive).max()))
-        attn = softmax_lastdim(rng.normal(size=(2, m, m)))
+        attn = softmax_lastdim(rng.normal(size=(2, 1, m, m)))
         z_fast, _ = _values_fwd(FAST, attn, vh, t_idx, e_idx, topology, edge)
         z_naive, _ = _values_fwd(NAIVE, attn, vh, t_idx, e_idx, topology, edge)
         worst = max(worst, float(np.abs(z_fast - z_naive).max()))
@@ -297,10 +297,10 @@ def test_09_complexity_dot_product_counts():
     cfg = ModelConfig(layers=1, d_z=16, ffn_dim=16, heads=1, L=L,
                       num_edge_types=e, node_vocab=4, pe_mode="grpe")
     topology, edge, _, _ = init_tables(cfg, 0)
-    t_idx = rng.integers(0, L + 4, size=(n, n))
-    e_idx = rng.integers(0, e + 3, size=(n, n))
-    qh = split_heads(rng.normal(size=(n, 16)), 1)
-    kh = split_heads(rng.normal(size=(n, 16)), 1)
+    t_idx = rng.integers(0, L + 4, size=(1, n, n))  # one graph, run as a group of one
+    e_idx = rng.integers(0, e + 3, size=(1, n, n))
+    qh = split_heads(rng.normal(size=(1, n, 16)), 1)
+    kh = split_heads(rng.normal(size=(1, n, 16)), 1)
 
     score_dot_counter.reset()
     s_naive, _ = _scores_fwd(NAIVE, qh, kh, t_idx, e_idx, topology, edge, None)

@@ -46,30 +46,43 @@ def attn_params(rng, d_x, d_z, heads):
                            heads=heads)
 
 
+# The helpers below take one graph's arrays, run the kernels on them as a
+# group of one (a leading axis of 1 on features and bucket matrices) and
+# return the results without that axis.
+
+def group_of_one(*arrays):
+    return [None if a is None else a[None] for a in arrays]
+
+
 def attention(x, params, kind, t_idx=None, e_idx=None, topo=None, edge=None):
-    """One attention layer as the model runs it; returns (z, attention map)."""
-    z, cache = mha_forward(x, params, PEMode(kind), t_idx, e_idx, topo, edge, None)
-    return z, cache["attn"]
+    """One attention layer as the model runs it on (N, d_x) features;
+    returns (z, attention map), (N, d_z) and (H, N, N)."""
+    z, cache = mha_forward(x[None], params, PEMode(kind), *group_of_one(t_idx, e_idx),
+                           topo, edge, None)
+    return z[0], cache["attn"][:, 0]
 
 
 def score_map(q, k, t_idx, e_idx, topo, edge, heads, kind="grpe_fast"):
     """The model's score dispatch on (N, d_z) queries and keys: (H, N, N)."""
-    scores, _ = _scores_fwd(PEMode(kind), split_heads(q, heads), split_heads(k, heads),
-                            t_idx, e_idx, topo, edge, None)
-    return scores
+    qh, kh = (split_heads(m[None], heads) for m in (q, k))
+    scores, _ = _scores_fwd(PEMode(kind), qh, kh, *group_of_one(t_idx, e_idx),
+                            topo, edge, None)
+    return scores[:, 0]
 
 
 def value_rows(attn, v, t_idx, e_idx, topo, edge, heads, kind="grpe_fast"):
-    """The model's value dispatch on (N, d_z) values: (N, d_z), heads merged."""
-    zh, _ = _values_fwd(PEMode(kind), attn, split_heads(v, heads), t_idx, e_idx, topo, edge)
-    return merge_heads(zh)
+    """The model's value dispatch on an (H, N, N) map and (N, d_z) values:
+    (N, d_z), heads merged."""
+    zh, _ = _values_fwd(PEMode(kind), attn[:, None], split_heads(v[None], heads),
+                        *group_of_one(t_idx, e_idx), topo, edge)
+    return merge_heads(zh)[0]
 
 
 def graphormer_map(q, k, t_idx, e_idx, gbias, heads):
-    """The scalar-bias score kernel on (N, d_z) queries and keys."""
-    scores, _ = _graphormer_scores_fwd(split_heads(q, heads), split_heads(k, heads),
-                                       t_idx, e_idx, gbias)
-    return scores
+    """The scalar-bias score kernel on (N, d_z) queries and keys: (H, N, N)."""
+    qh, kh = (split_heads(m[None], heads) for m in (q, k))
+    scores, _ = _graphormer_scores_fwd(qh, kh, *group_of_one(t_idx, e_idx), gbias)
+    return scores[:, 0]
 
 
 class TestPlainAttention:
@@ -333,12 +346,12 @@ class TestMultiHeadAttention:
         topo, edge, t_idx, e_idx, _, _, _ = make_inputs(rng, 5, 3, 2, 16)
         params = attn_params(rng, 16, 16, 2)
         x = rng.normal(size=(t_idx.shape[0], 16))
-        z_plain, _ = attention(x, params, "none")
+        z_plain, _ = mha_forward(x[None], params, PEMode("none"), None, None, None, None, None)
         off = dict(use_topology=False, use_edge=False, use_value=False)
-        z_fast, _ = mha_forward(x, params, PEMode("grpe_fast", **off),
-                                t_idx, e_idx, topo, edge, None)
-        z_naive, _ = mha_forward(x, params, PEMode("grpe_naive", **off),
-                                 t_idx, e_idx, topo, edge, None)
+        z_fast, _ = mha_forward(x[None], params, PEMode("grpe_fast", **off),
+                                t_idx[None], e_idx[None], topo, edge, None)
+        z_naive, _ = mha_forward(x[None], params, PEMode("grpe_naive", **off),
+                                 t_idx[None], e_idx[None], topo, edge, None)
         np.testing.assert_array_equal(z_fast, z_plain)
         assert np.abs(z_naive - z_plain).max() < 1e-12
 
@@ -392,8 +405,8 @@ class TestTransformerBlock:
         rng = np.random.default_rng(20)
         topo, edge, t_idx, e_idx, _, _, _ = make_inputs(rng, 6, 3, 2, 16)
         block = self._block(rng, 16, 2, topo, edge, zero_out=True)
-        x = rng.normal(size=(t_idx.shape[0], 16))
-        out, _ = block.forward(x, PEMode("grpe_fast"), t_idx, e_idx)
+        x = rng.normal(size=(1, t_idx.shape[0], 16))
+        out, _ = block.forward(x, PEMode("grpe_fast"), t_idx[None], e_idx[None])
         np.testing.assert_array_equal(out, x)
 
     def test_gradient_check_through_block(self):
@@ -401,9 +414,10 @@ class TestTransformerBlock:
         topo, edge, t_idx, e_idx, _, _, _ = make_inputs(rng, 5, 3, 2, 16)
         block = self._block(rng, 16, 2, topo, edge)
         n = t_idx.shape[0]
-        x = rng.normal(size=(n, 16))
-        w = rng.normal(size=(n, 16))
+        x = rng.normal(size=(1, n, 16))
+        w = rng.normal(size=(1, n, 16))
         mode = PEMode("grpe_fast")
+        t_idx, e_idx = t_idx[None], e_idx[None]
 
         def loss_fn():
             out, _ = block.forward(x, mode, t_idx, e_idx)
@@ -433,14 +447,14 @@ class TestTransformerBlock:
             topo, edge, _, _ = init_tables(cfg, int(rng.integers(0, 1 << 31)))
             block = self._block(rng, 16, 2, topo, edge)
             m = g.num_nodes
-            x = rng.normal(size=(m, 16))
+            x = rng.normal(size=(1, m, 16))
             perm = np.concatenate([[0], 1 + rng.permutation(m - 1)])
-            out, _ = block.forward(x, PEMode("grpe_fast"), t_idx, e_idx)
-            out_p, _ = block.forward(x[np.argsort(perm)],
+            out, _ = block.forward(x, PEMode("grpe_fast"), t_idx[None], e_idx[None])
+            out_p, _ = block.forward(x[:, np.argsort(perm)],
                                      PEMode("grpe_fast"),
-                                     t_idx[np.ix_(np.argsort(perm), np.argsort(perm))],
-                                     e_idx[np.ix_(np.argsort(perm), np.argsort(perm))])
-            np.testing.assert_allclose(out_p, out[np.argsort(perm)], atol=1e-10)
+                                     t_idx[np.ix_(np.argsort(perm), np.argsort(perm))][None],
+                                     e_idx[np.ix_(np.argsort(perm), np.argsort(perm))][None])
+            np.testing.assert_allclose(out_p, out[:, np.argsort(perm)], atol=1e-10)
 
 
 class TestSharedTables:

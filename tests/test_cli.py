@@ -11,7 +11,7 @@ import pytest
 import grpe
 from grpe import errors
 from grpe.cli import main
-from grpe.model import MAX_TABLE_ROWS
+from grpe.model import MAX_PARAMETERS, MAX_TABLE_ROWS
 
 
 def run(capsys, *argv):
@@ -371,31 +371,43 @@ class TestInputContract:
 
     def test_oversized_tables_refused_before_allocation(self, data, tmp_path):
         # each would allocate GiB-sized tables: L=1e9 (477 GiB of topology
-        # rows), an edge type of 1e6 in a one-line graph, a vocabulary of 1e6
+        # rows), an edge type of 1e6 in a one-line graph, a vocabulary of 1e6;
+        # then models of 1e8 width (6.71 GiB of topology rows at d_z), 1e8
+        # layers and a 1e8-wide FFN (47.7 GiB)
         one_line = tmp_path / "one.jsonl"
         one_line.write_text('{"nodes":[0,1],"edges":[[0,1,1000000]],"target":0.5}\n')
         common = ["--layers", "1", "--d-z", "16", "--ffn-dim", "16", "--heads", "2",
                   "--epochs", "1", "--out", str(tmp_path / "r")]
+        train = ["train", "--data", str(data)]
         results = run_memory_capped([
-            ["train", "--data", str(data), "--L", "1000000000"] + common,
+            train + ["--L", "1000000000"] + common,
             ["train", "--data", str(one_line)] + common,
-            ["train", "--data", str(data), "--node-vocab", "1000000"] + common])
-        for (code, err), field in zip(results, ["L=1000000000", "num_edge_types=1000001",
-                                                "node_vocab=1000000"]):
+            train + ["--node-vocab", "1000000"] + common,
+            train + common + ["--d-z", "100000000", "--heads", "1"],
+            train + common + ["--layers", "100000000"],
+            train + common + ["--ffn-dim", "100000000"]])
+        table_cap, param_cap = f"cap of {MAX_TABLE_ROWS}", f"cap of {MAX_PARAMETERS}"
+        for (code, err), field, cap in zip(results, [
+                "L=1000000000", "num_edge_types=1000001", "node_vocab=1000000",
+                "parameters", "parameters", "parameters"], [table_cap] * 3 + [param_cap] * 3):
             assert code == errors.EXIT_CONFIG, err
-            assert field in err and f"cap of {MAX_TABLE_ROWS}" in err
+            assert field in err and cap in err
         assert not (tmp_path / "r").exists()
 
     def test_checkpoint_with_oversized_tables_is_io_error(self, data, tmp_path):
         main(["train", "--data", str(data), "--out", str(tmp_path / "r"), "--layers", "1",
               "--d-z", "16", "--ffn-dim", "16", "--heads", "2", "--epochs", "1"])
         payload = json.loads((tmp_path / "r" / "checkpoint.json").read_text())
-        payload["config"]["L"] = 1000000000
-        ck = tmp_path / "big.json"
-        ck.write_text(json.dumps(payload))
-        [(code, err)] = run_memory_capped([["eval", "--ckpt", str(ck), "--data", str(data)]])
-        assert code == errors.EXIT_IO, err
-        assert "bad config block" in err and "L=1000000000" in err
+        argvs = []
+        for key in ("L", "layers"):
+            ck = tmp_path / f"big-{key}.json"
+            ck.write_text(json.dumps({**payload, "config": {**payload["config"],
+                                                            key: 1000000000}}))
+            argvs.append(["eval", "--ckpt", str(ck), "--data", str(data)])
+        results = run_memory_capped(argvs)
+        for (code, err), named in zip(results, ["L=1000000000", "parameters"]):
+            assert code == errors.EXIT_IO, err
+            assert "bad config block" in err and named in err
 
     def test_selfcheck_zero_cases_is_config_error(self, capsys):
         code, out, err = run(capsys, "selfcheck", "--cases", "0")

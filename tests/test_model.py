@@ -19,6 +19,17 @@ def small_cfg(**kw):
     return ModelConfig(**base)
 
 
+class TestParameterCount:
+    @pytest.mark.parametrize("preset", ["tiny", "small"])
+    @pytest.mark.parametrize("pe_mode", ["grpe", "graphormer"])
+    def test_config_count_equals_built_model(self, preset, pe_mode):
+        for task in ("graph_regression", "node_classification"):
+            for shared_w in (False, True):
+                cfg = ModelConfig.preset(preset, pe_mode=pe_mode, task=task,
+                                         graphormer_shared_w=shared_w)
+                assert cfg.num_parameters() == build_model(cfg).num_parameters()
+
+
 class TestConfig:
     def test_presets_match_published_sizes(self):
         tiny = ModelConfig.preset("tiny")
@@ -176,6 +187,18 @@ class TestForward:
         assert len(maps) == model.config.layers
         for attn in maps:
             np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-12)
+
+    def test_traced_map_shapes(self):
+        # one sample: (H, N, N); a group: (H, B, N, N), padded to its largest graph
+        model = build_model(small_cfg())
+        rng = np.random.default_rng(8)
+        preps = [model.prepare(GraphSample(graph=random_graph(rng, n, 3, 6, 0.5), target=0.0))
+                 for n in (5, 3)]
+        heads, layers = model.config.heads, model.config.layers
+        _, maps = model.forward(preps[0], want_trace=True)
+        assert [m.shape for m in maps] == [(heads, 6, 6)] * layers
+        _, maps = model.forward(preps, want_trace=True)
+        assert [m.shape for m in maps] == [(heads, 2, 6, 6)] * layers
 
     def test_traced_maps_fast_equal_naive(self):
         # same weights, well away from their small initial values

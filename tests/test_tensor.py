@@ -77,11 +77,20 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             mha_forward(np.zeros((2, 3)), params, PEMode("none"), None, None, None, None, None)
 
+    def test_single_graph_without_group_axis_rejected(self):
+        # one graph runs as a group of one: (1, N, d), never (N, d)
+        params = self.params(np.random.default_rng(0), 4, 4, 1)
+        with pytest.raises(ShapeError):
+            mha_forward(np.zeros((5, 4)), params, PEMode("none"), None, None, None, None, None)
+        out, _ = mha_forward(np.zeros((1, 5, 4)), params, PEMode("none"),
+                             None, None, None, None, None)
+        assert out.shape == (1, 5, 4)
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         params = self.params(rng, 4, 6, 2)
-        x = rng.normal(size=(5, 4))
-        w = rng.normal(size=(5, 6))  # random projection makes the loss scalar
+        x = rng.normal(size=(1, 5, 4))
+        w = rng.normal(size=(1, 5, 6))  # random projection makes the loss scalar
         mode = PEMode("none")
 
         def f():
@@ -200,7 +209,7 @@ class TestElementwise:
     def test_relu_kills_negatives(self):
         model = build_model(ModelConfig(layers=1, d_z=16, ffn_dim=32, heads=2, L=3,
                                         num_edge_types=1, node_vocab=4))
-        x = np.random.default_rng(6).normal(size=(7, 16))
+        x = np.random.default_rng(6).normal(size=(1, 7, 16))
         _, cache = model.blocks[0].forward(x, PEMode("none"), None, None)
         pre, act = cache["pre"], cache["act"]
         assert (pre < 0).any() and (pre > 0).any()
